@@ -88,19 +88,20 @@ BM_SolverIterationClusterThreads(benchmark::State &state)
         solver.iterate();
     state.SetItemsProcessed(state.iterations() * machines);
 
-    // Label what actually ran, not just the flag value: the solver
-    // fans machine stepping out over min(executors - 1, machines - 1)
-    // pool workers plus the calling thread.
+    // Label what actually ran, not just the flag value: a fleet of at
+    // least two lane chunks fans out over min(executors - 1, chunks -
+    // 1) pool workers plus the calling thread; a narrower one steps
+    // inline.
     unsigned executors = config.threads;
     if (executors == 0) {
         executors = std::thread::hardware_concurrency();
         if (executors == 0)
             executors = 1;
     }
+    size_t chunks = static_cast<size_t>(machines) / core::Solver::kLaneChunk;
     size_t workers = 0;
-    if (executors > 1 && machines > 1)
-        workers = std::min<size_t>(executors - 1,
-                                   static_cast<size_t>(machines) - 1);
+    if (executors > 1 && chunks > 1)
+        workers = std::min<size_t>(executors - 1, chunks - 1);
     state.SetLabel("executors=" + std::to_string(executors) +
                    " (caller + " + std::to_string(workers) +
                    " pool workers)");
@@ -110,6 +111,14 @@ BENCHMARK(BM_SolverIterationClusterThreads)
     ->Args({256, 2})
     ->Args({256, 4})
     ->Args({256, 0})
+    ->Args({1024, 1})
+    ->Args({1024, 2})
+    ->Args({1024, 4})
+    ->Args({1024, 0})
+    ->Args({4096, 1})
+    ->Args({4096, 2})
+    ->Args({4096, 4})
+    ->Args({4096, 0})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 

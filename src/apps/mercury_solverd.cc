@@ -8,6 +8,7 @@
  *   mercury_solverd --config configs/table1_cluster.dot --port 8367
  */
 
+#include <atomic>
 #include <csignal>
 
 #include "core/solver.hh"
@@ -20,13 +21,16 @@
 
 namespace {
 
-mercury::proto::SolverDaemon *runningDaemon = nullptr;
+// Lock-free atomics, so the handler may touch them from any thread.
+std::atomic<mercury::proto::SolverDaemon *> runningDaemon{nullptr};
+std::atomic<bool> stopRequested{false};
 
 void
 handleSignal(int)
 {
-    if (runningDaemon)
-        runningDaemon->stop();
+    stopRequested = true;
+    if (mercury::proto::SolverDaemon *daemon = runningDaemon.load())
+        daemon->stop();
 }
 
 } // namespace
@@ -35,6 +39,14 @@ int
 main(int argc, char **argv)
 {
     using namespace mercury;
+
+    // Handlers first: from here on SIGINT/SIGTERM always take the
+    // graceful path (final checkpoint, segment unlinked). A signal
+    // that lands before the daemon exists is remembered and honoured
+    // the moment it does; stop() before run() makes run() drain,
+    // checkpoint and return at once.
+    std::signal(SIGINT, handleSignal);
+    std::signal(SIGTERM, handleSignal);
 
     FlagSet flags("mercury_solverd",
                   "Mercury temperature-emulation solver daemon");
@@ -181,6 +193,9 @@ main(int argc, char **argv)
         flags.getDouble("standby-grace-seconds");
     daemon_config.portFile = flags.getString("port-file");
     proto::SolverDaemon daemon(solver, daemon_config);
+    runningDaemon = &daemon;
+    if (stopRequested)
+        daemon.stop();
 
     // A primary advertises itself right away; a standby leaves the
     // file naming the primary and only rewrites it at promotion (the
@@ -195,13 +210,10 @@ main(int argc, char **argv)
             fatal("cannot write --port-file ", port_file, ": ", error);
     }
 
-    runningDaemon = &daemon;
-    std::signal(SIGINT, handleSignal);
-    std::signal(SIGTERM, handleSignal);
-
     inform("mercury_solverd: ", config.machines.size(),
            " machine(s), listening on UDP port ", daemon.port());
     daemon.run();
+    runningDaemon = nullptr;
     inform("mercury_solverd: ", daemon.service().updatesApplied(),
            " updates, ", daemon.service().sensorReads(), " sensor reads, ",
            daemon.service().fiddlesApplied(), " fiddles");

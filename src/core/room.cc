@@ -76,12 +76,22 @@ RoomModel::RoomModel(
         MERCURY_PANIC("room graph has a cycle");
 
     buildIncoming();
+    for (size_t id = 0; id < nodes_.size(); ++id) {
+        if (nodes_[id].kind == RoomNodeKind::Machine)
+            machineNodes_.push_back(id);
+        if (nodes_[id].kind == RoomNodeKind::Source)
+            sourceNodes_.push_back(id);
+    }
+    for (size_t id : order_) {
+        if (nodes_[id].kind == RoomNodeKind::Mix ||
+            nodes_[id].kind == RoomNodeKind::Sink)
+            mixOrder_.push_back(id);
+    }
+    bindLanes();
 
     // Mix vertices pass through the flow they receive; compute once.
-    for (size_t id : order_) {
+    for (size_t id : mixOrder_) {
         Node &node = nodes_[id];
-        if (node.kind != RoomNodeKind::Mix && node.kind != RoomNodeKind::Sink)
-            continue;
         double flow = 0.0;
         for (uint32_t slot = inOffsets_[id]; slot < inOffsets_[id + 1];
              ++slot) {
@@ -107,6 +117,24 @@ RoomModel::buildIncoming()
         inEdge_[cursor[edges_[i].to]++] = static_cast<uint32_t>(i);
 }
 
+void
+RoomModel::bindLanes()
+{
+    for (size_t id : machineNodes_) {
+        Node &node = nodes_[id];
+        MachineBatch &batch = node.machine->batch();
+        const Topology &topo = batch.topology();
+        size_t lane = node.machine->lane();
+        size_t lanes = batch.lanes();
+        node.inlet = &batch.temperature[topo.inlet * lanes + lane];
+        node.exhaust = &batch.temperature[topo.exhaust * lanes + lane];
+        // Validation forbids air into the inlet, so its mass flow is
+        // exactly the fan's, cfmToKgPerS(fanCfm()).
+        node.fanFlow = &batch.massFlow[topo.inlet * lanes + lane];
+        node.stateVersion = &batch.stateVersion[lane];
+    }
+}
+
 size_t
 RoomModel::requireNode(const std::string &node_name) const
 {
@@ -124,33 +152,23 @@ RoomModel::step()
     // supplying an equal share of the current total demand; mixing
     // vertices pass through what they receive.
     double total_demand = 0.0;
-    size_t source_count = 0;
-    for (Node &node : nodes_) {
-        if (node.kind == RoomNodeKind::Machine) {
-            node.massFlow = units::cfmToKgPerS(node.machine->fanCfm());
-            total_demand += node.massFlow;
-        } else if (node.kind == RoomNodeKind::Source) {
-            ++source_count;
-        }
+    for (size_t id : machineNodes_) {
+        Node &node = nodes_[id];
+        node.massFlow = *node.fanFlow;
+        total_demand += node.massFlow;
     }
-    for (Node &node : nodes_) {
-        if (node.kind == RoomNodeKind::Source) {
-            node.massFlow =
-                total_demand / static_cast<double>(source_count);
-        }
+    for (size_t id : sourceNodes_) {
+        nodes_[id].massFlow =
+            total_demand / static_cast<double>(sourceNodes_.size());
     }
-    for (size_t id : order_) {
-        Node &mix_node = nodes_[id];
-        if (mix_node.kind == RoomNodeKind::Mix ||
-            mix_node.kind == RoomNodeKind::Sink) {
-            double flow = 0.0;
-            for (uint32_t slot = inOffsets_[id]; slot < inOffsets_[id + 1];
-                 ++slot) {
-                const Edge &edge = edges_[inEdge_[slot]];
-                flow += edge.fraction * nodes_[edge.from].massFlow;
-            }
-            mix_node.massFlow = flow;
+    for (size_t id : mixOrder_) {
+        double flow = 0.0;
+        for (uint32_t slot = inOffsets_[id]; slot < inOffsets_[id + 1];
+             ++slot) {
+            const Edge &edge = edges_[inEdge_[slot]];
+            flow += edge.fraction * nodes_[edge.from].massFlow;
         }
+        nodes_[id].massFlow = flow;
     }
 
     // March downstream. A vertex's mixed inflow temperature is the
@@ -173,17 +191,23 @@ RoomModel::step()
 
         switch (node.kind) {
           case RoomNodeKind::Machine:
-            // Per-iteration boundary delivery, not an input mutation:
-            // deliver keeps the quiescence engine from treating every
-            // steady-state inlet write as a wake (override set-time
-            // already woke the machine through setInletOverride).
-            if (node.inletOverride) {
-                node.machine->deliverInletTemperature(*node.inletOverride);
-            } else if (flow_in > 1e-12) {
-                node.machine->deliverInletTemperature(mixed);
+            // Per-iteration boundary delivery. Unlike
+            // ThermalGraph::setInletTemperature it is not an input
+            // mutation: the solver compares the delivered value with
+            // the frozen inlet under its own epsilon, so a steady room
+            // does not wake a quiescent machine every second (an
+            // override already woke it through setInletOverride). It
+            // dirties the telemetry stamp only when the value moved.
+            if (node.inletOverride || flow_in > 1e-12) {
+                double delivered =
+                    node.inletOverride ? *node.inletOverride : mixed;
+                if (*node.inlet != delivered) {
+                    *node.inlet = delivered;
+                    ++*node.stateVersion;
+                }
             }
             // The vertex itself carries the machine's exhaust stream.
-            node.temperature = node.machine->exhaustTemperature();
+            node.temperature = *node.exhaust;
             break;
           case RoomNodeKind::Mix:
           case RoomNodeKind::Sink:

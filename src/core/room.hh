@@ -43,9 +43,18 @@ class RoomModel
     /**
      * Propagate air temperatures through the room graph and write each
      * machine's inlet temperature (unless overridden). Call once per
-     * solver iteration, before stepping the machine models.
+     * solver iteration, before stepping the machine models. Inlets,
+     * exhausts and fan flows are read and written straight in the
+     * machines' batch lanes, as last bound by bindLanes().
      */
     void step();
+
+    /**
+     * Re-resolve every machine's batch lane. The Solver calls this
+     * after it regroups its machines into batches; step() must not run
+     * in between.
+     */
+    void bindLanes();
 
     /** Current air temperature at a room vertex [degC]. */
     double temperature(const std::string &node_name) const;
@@ -105,6 +114,14 @@ class RoomModel
         ThermalGraph *machine = nullptr;
         double massFlow = 0.0; // kg/s leaving this vertex
         std::optional<double> inletOverride;
+
+        /** @name The machine's lane (Machine nodes; see bindLanes) */
+        /// @{
+        double *inlet = nullptr;          //!< inlet temperature
+        const double *exhaust = nullptr;  //!< exhaust temperature
+        const double *fanFlow = nullptr;  //!< mass flow at the inlet
+        uint64_t *stateVersion = nullptr; //!< telemetry stamp
+        /// @}
     };
 
     struct Edge
@@ -123,6 +140,9 @@ class RoomModel
     std::vector<Edge> edges_;
     std::unordered_map<std::string, size_t> byName_;
     std::vector<size_t> order_; // topological
+    std::vector<size_t> machineNodes_; //!< Machine vertices, spec order
+    std::vector<size_t> sourceNodes_;  //!< Source vertices, spec order
+    std::vector<size_t> mixOrder_;     //!< Mix and Sink, topological
 
     /**
      * Incoming edges per vertex in CSR form (offsets into inEdge_,

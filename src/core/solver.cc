@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <thread>
+#include <unordered_map>
 
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -40,14 +41,125 @@ Solver::pool()
         if (executors == 0)
             executors = 1;
     }
-    // One executor is the calling thread itself; with a single machine
-    // or a single executor the serial path is strictly cheaper.
-    if (executors > 1 && machines_.size() > 1) {
-        size_t workers =
-            std::min<size_t>(executors - 1, machines_.size() - 1);
+    // One executor is the calling thread itself; a fleet narrower
+    // than two lane chunks always steps inline (see kLaneChunk).
+    size_t chunks = machines_.size() / kLaneChunk;
+    size_t workers =
+        executors > 1 && chunks > 1
+            ? std::min<size_t>(executors - 1, chunks - 1)
+            : 0;
+    if (workers == 0)
+        pool_.reset();
+    else if (!pool_ || pool_->workerCount() != workers)
         pool_ = std::make_unique<ThreadPool>(workers);
-    }
     return pool_.get();
+}
+
+bool
+Solver::layoutStale() const
+{
+    if (layoutDirty_)
+        return true;
+    for (const auto &batch : batches_) {
+        if (batch->vacancies)
+            return true;
+    }
+    return false;
+}
+
+void
+Solver::rebuildBatches()
+{
+    // Group machines by topology key, keeping machine order inside a
+    // group so lanes (and therefore runs) follow the fleet's order.
+    std::vector<std::vector<size_t>> groups;
+    std::unordered_multimap<size_t, size_t> by_key;
+    for (size_t i = 0; i < machines_.size(); ++i) {
+        const Topology &topo = machines_[i]->batch().topology();
+        size_t key = topo.keyHash();
+        size_t group = groups.size();
+        auto [lo, hi] = by_key.equal_range(key);
+        for (auto it = lo; it != hi; ++it) {
+            const ThermalGraph &peer = *machines_[groups[it->second][0]];
+            if (peer.batch().topology().sameKey(topo)) {
+                group = it->second;
+                break;
+            }
+        }
+        if (group == groups.size()) {
+            groups.emplace_back();
+            by_key.emplace(key, group);
+        }
+        groups[group].push_back(i);
+    }
+
+    std::vector<std::unique_ptr<MachineBatch>> fresh;
+    for (const std::vector<size_t> &group : groups) {
+        auto batch = std::make_unique<MachineBatch>(
+            machines_[group[0]]->batch().sharedTopology(), group.size());
+        for (size_t lane = 0; lane < group.size(); ++lane) {
+            ThermalGraph &graph = *machines_[group[lane]];
+            batch->copyLane(lane, graph.batch(), graph.lane());
+            graph.attach(batch.get(), lane);
+        }
+        fresh.push_back(std::move(batch));
+    }
+    batches_ = std::move(fresh);
+    laneMachine_ = std::move(groups);
+    layoutDirty_ = false;
+    poolDecided_ = false;
+}
+
+std::vector<size_t>
+Solver::batchLanes() const
+{
+    std::vector<size_t> lanes;
+    for (const auto &batch : batches_)
+        lanes.push_back(batch->lanes());
+    return lanes;
+}
+
+template <typename Wanted>
+void
+Solver::planRuns(double dt, Wanted wanted)
+{
+    runs_.clear();
+    for (size_t b = 0; b < batches_.size(); ++b) {
+        MachineBatch &batch = *batches_[b];
+        size_t lanes = batch.lanes();
+        size_t lane = 0;
+        while (lane < lanes) {
+            if (!wanted(b, lane)) {
+                ++lane;
+                continue;
+            }
+            int substeps = batch.substepsFor(lane, dt);
+            size_t end = lane + 1;
+            while (end < lanes && end - lane < kLaneChunk &&
+                   wanted(b, end) && batch.substepsFor(end, dt) == substeps)
+                ++end;
+            runs_.push_back({&batch, lane, end, substeps});
+            lane = end;
+        }
+    }
+}
+
+void
+Solver::stepRuns(double dt, size_t lanes)
+{
+    // Lanes are independent until the next room phase and every run
+    // writes only its own lanes, so any split across executors gives
+    // the serial result bitwise.
+    ThreadPool *fanout = lanes >= 2 * kLaneChunk ? pool() : nullptr;
+    if (fanout) {
+        fanout->parallelFor(runs_.size(), [&](size_t k) {
+            const LaneRun &run = runs_[k];
+            run.batch->step(run.begin, run.end, dt, run.substeps);
+        });
+    } else {
+        for (const LaneRun &run : runs_)
+            run.batch->step(run.begin, run.end, dt, run.substeps);
+    }
 }
 
 ThermalGraph &
@@ -59,7 +171,7 @@ Solver::addMachine(const MachineSpec &spec)
         MERCURY_PANIC("Solver: add machines before installing the room");
     machines_.push_back(std::make_unique<ThermalGraph>(spec));
     machineIndex_[spec.name] = machines_.size() - 1;
-    poolDecided_ = false; // machine count changed; re-evaluate the pool
+    layoutDirty_ = true; // batches (and the pool) are rebuilt lazily
     Quiescence fresh;
     fresh.inputSeen = machines_.back()->inputVersion();
     quiescence_.push_back(fresh);
@@ -130,6 +242,11 @@ Solver::machineNames() const
 void
 Solver::iterate()
 {
+    if (layoutStale()) {
+        rebuildBatches();
+        if (room_)
+            room_->bindLanes();
+    }
     if (config_.quiescenceEpsilon > 0.0) {
         iterateActiveSet();
         return;
@@ -140,19 +257,11 @@ Solver::iterate()
     if (room_)
         room_->step();
 
-    // Phase 2 (parallel): machines are now independent until the next
-    // room phase, so their step() calls fan out across the pool. Each
-    // machine only touches its own state, making the result identical
-    // to the serial loop for any thread count.
-    ThreadPool *fanout = pool();
-    if (fanout) {
-        double dt = config_.iterationSeconds;
-        fanout->parallelFor(machines_.size(),
-                            [&](size_t i) { machines_[i]->step(dt); });
-    } else {
-        for (auto &graph : machines_)
-            graph->step(config_.iterationSeconds);
-    }
+    // Phase 2: machines are now independent until the next room
+    // phase; every lane of every batch steps.
+    const double dt = config_.iterationSeconds;
+    planRuns(dt, [](size_t, size_t) { return true; });
+    stepRuns(dt, machines_.size());
     ++iterations_;
     if (iterationHook_)
         iterationHook_();
@@ -167,58 +276,61 @@ Solver::iterateActiveSet()
 
     // Phase 1 (serial): the room still runs every iteration — it is
     // the coupling between machines and the source of inlet-driven
-    // wakes. It delivers inlets via deliverInletTemperature(), which
-    // does not count as an input mutation.
+    // wakes. Its inlet deliveries are not input mutations (see
+    // RoomModel::step).
     if (room_)
         room_->step();
 
     // Phase A (serial): decide who steps. Frozen machines wake when
     // an input changed or the delivered inlet drifted past epsilon;
     // otherwise they either take a forced refresh re-step or skip the
-    // iteration entirely, accruing energy analytically.
+    // iteration entirely, accruing energy analytically. The scan runs
+    // in lane order over the batches' version, inlet and energy
+    // arrays, so a frozen machine costs a few contiguous reads.
     activeScratch_.clear();
-    stepDelta_.resize(machines_.size());
-    for (size_t i = 0; i < machines_.size(); ++i) {
-        ThermalGraph &graph = *machines_[i];
-        Quiescence &q = quiescence_[i];
-        if (!q.frozen) {
-            activeScratch_.push_back(i);
-            continue;
-        }
-        bool wake = graph.inputVersion() != q.inputSeen ||
-                    std::fabs(graph.inletTemperature() - q.frozenInlet) >
-                        eps;
-        if (wake) {
-            q.frozen = false;
-            q.refreshing = false;
-            q.calm = 0;
-            q.lastDelta = -1.0;
-            --frozenCount_;
-            activeScratch_.push_back(i);
-        } else if (refresh > 0 && iterations_ >= q.nextRefresh) {
-            q.refreshing = true;
-            activeScratch_.push_back(i);
-        } else {
-            // Watts are constant while frozen (any change to them is
-            // an input mutation, which wakes): the energy integral is
-            // the cached draw times dt, one add per machine.
-            graph.accrueFrozenEnergy(q.frozenWatts * dt);
+    for (size_t b = 0; b < batches_.size(); ++b) {
+        MachineBatch &batch = *batches_[b];
+        const double *inlet =
+            batch.temperature.data() + batch.topology().inlet * batch.lanes();
+        for (size_t lane = 0; lane < batch.lanes(); ++lane) {
+            size_t i = laneMachine_[b][lane];
+            Quiescence &q = quiescence_[i];
+            q.stepping = !q.frozen;
+            if (!q.frozen) {
+                activeScratch_.push_back(i);
+                continue;
+            }
+            bool wake = batch.inputVersion[lane] != q.inputSeen ||
+                        std::fabs(inlet[lane] - q.frozenInlet) > eps;
+            if (wake) {
+                q.frozen = false;
+                q.refreshing = false;
+                q.calm = 0;
+                q.lastDelta = -1.0;
+                --frozenCount_;
+                q.stepping = true;
+                activeScratch_.push_back(i);
+            } else if (refresh > 0 && iterations_ >= q.nextRefresh) {
+                q.refreshing = true;
+                q.stepping = true;
+                activeScratch_.push_back(i);
+            } else {
+                // Watts are constant while frozen (any change to them
+                // is an input mutation, which wakes): the energy
+                // integral is the cached draw times dt, one add, and
+                // the thermal state stays untouched.
+                batch.energy[lane] += q.frozenWatts * dt;
+            }
         }
     }
 
-    // Phase 2 (parallel): fan the active machines out across the
-    // pool. Same independence argument as the classic path; the
-    // per-machine |dT| lands in stepDelta_ without sharing.
-    ThreadPool *fanout = pool();
-    if (fanout && activeScratch_.size() > 1) {
-        fanout->parallelFor(activeScratch_.size(), [&](size_t k) {
-            size_t i = activeScratch_[k];
-            stepDelta_[i] = machines_[i]->step(dt);
-        });
-    } else {
-        for (size_t i : activeScratch_)
-            stepDelta_[i] = machines_[i]->step(dt);
-    }
+    // Phase 2: step maximal runs of active lanes; a frozen lane is
+    // never stepped. Same independence argument as the classic path;
+    // each lane's |dT| lands in its batch's lastDelta.
+    planRuns(dt, [&](size_t b, size_t lane) {
+        return quiescence_[laneMachine_[b][lane]].stepping;
+    });
+    stepRuns(dt, activeScratch_.size());
 
     // Phase B (serial): freeze bookkeeping. A machine is "calm" when
     // its inputs did not change, its max |dT| is under epsilon, and
@@ -228,7 +340,7 @@ Solver::iterateActiveSet()
         size_t i = activeScratch_[k];
         ThermalGraph &graph = *machines_[i];
         Quiescence &q = quiescence_[i];
-        double delta = stepDelta_[i];
+        double delta = graph.batch().lastDelta[graph.lane()];
         uint64_t input = graph.inputVersion();
         bool input_changed = input != q.inputSeen;
         q.inputSeen = input;

@@ -41,11 +41,13 @@ struct SolverConfig
 
     /**
      * Machine-stepping parallelism: 0 = one executor per hardware
-     * thread, 1 = serial (no pool), N = exactly N executors. Within an
+     * thread, 1 = serial (no pool), N = at most N executors. Within an
      * iteration machines only couple through the room model, which
-     * runs as a separate serial phase first, so fanning the machine
-     * step() calls across a pool is deterministic: any thread count
-     * produces bitwise-identical temperatures.
+     * runs as a separate serial phase first, so fanning lane chunks of
+     * the machine batches across a pool is deterministic: any thread
+     * count produces bitwise-identical temperatures. Fleets narrower
+     * than two lane chunks (Solver::kLaneChunk machines each) step
+     * inline whatever this says.
      */
     unsigned threads = 0;
 
@@ -165,6 +167,12 @@ class Solver
         return machines_.size() -
                frozenCount_.load(std::memory_order_relaxed);
     }
+
+    /**
+     * Lanes of each machine batch (one batch per distinct topology),
+     * as laid out by the last iterate(); empty before the first.
+     */
+    std::vector<size_t> batchLanes() const;
 
     /** Machines currently frozen by the quiescence engine. */
     size_t
@@ -296,12 +304,47 @@ class Solver
 
     /// @}
 
+    /**
+     * Lanes per unit of pool work. A batch steps in runs of at most
+     * this many lanes; a step that covers fewer than two chunks of
+     * lanes runs inline, because waking the pool costs more than it
+     * saves there (docs/performance.md has the measurement).
+     */
+    static constexpr size_t kLaneChunk = 256;
+
   private:
     /** Lazily build the worker pool once machines exist. */
     ThreadPool *pool();
 
     /** iterate() body when quiescenceEpsilon > 0. */
     void iterateActiveSet();
+
+    /** True when a machine was added or left its batch since the
+     *  last rebuildBatches(). */
+    bool layoutStale() const;
+
+    /** Regroup every machine into one batch per distinct topology, in
+     *  machine order, copying each lane's state. */
+    void rebuildBatches();
+
+    /** Fill runs_ with the lanes @p wanted(batch, lane) selects: runs
+     *  of consecutive lanes planning the same substep count, at most
+     *  kLaneChunk long. */
+    template <typename Wanted>
+    void planRuns(double dt, Wanted wanted);
+
+    /** Step runs_ by @p dt, across the pool when @p lanes (the lanes
+     *  they cover) span two chunks or more. */
+    void stepRuns(double dt, size_t lanes);
+
+    /** A contiguous lane range of one batch stepped by one call. */
+    struct LaneRun
+    {
+        MachineBatch *batch;
+        size_t begin;
+        size_t end;
+        int substeps;
+    };
 
     /**
      * Per-machine quiescence bookkeeping. A machine freezes after
@@ -325,6 +368,7 @@ class Solver
         double frozenInlet = 0.0; //!< inlet at freeze / last refresh
         double frozenWatts = 0.0; //!< poweredWatts() cached at freeze
         uint64_t nextRefresh = 0; //!< iteration of the next forced step
+        bool stepping = false;    //!< steps in the current iteration
     };
 
     SolverConfig config_;
@@ -343,9 +387,15 @@ class Solver
     bool poolDecided_ = false;         //!< pool_ creation attempted
 
     std::vector<Quiescence> quiescence_; //!< parallel to machines_
-    std::vector<double> stepDelta_;      //!< scratch: per-machine |dT|
     std::vector<size_t> activeScratch_;  //!< machines stepping this turn
     std::atomic<size_t> frozenCount_{0}; //!< relaxed; see iterations_
+
+    /** One batch per distinct topology; laneMachine_[b][lane] is the
+     *  machine index viewing that lane. Destroyed before machines_. */
+    std::vector<std::unique_ptr<MachineBatch>> batches_;
+    std::vector<std::vector<size_t>> laneMachine_;
+    bool layoutDirty_ = true; //!< machines added since the last rebuild
+    std::vector<LaneRun> runs_; //!< scratch: this iteration's runs
 };
 
 } // namespace core

@@ -9,17 +9,6 @@
 namespace mercury {
 namespace core {
 
-namespace {
-
-bool
-isAirKind(NodeKind kind)
-{
-    return kind == NodeKind::Air || kind == NodeKind::Inlet ||
-           kind == NodeKind::Exhaust;
-}
-
-} // namespace
-
 ThermalGraph::ThermalGraph(const MachineSpec &spec)
     : name_(spec.name), fanCfm_(spec.fanCfm)
 {
@@ -33,15 +22,7 @@ ThermalGraph::ThermalGraph(const MachineSpec &spec)
 
     size_t count = spec.nodes.size();
     nodes_.reserve(count);
-    temperature_.assign(count, 0.0);
-    heatGain_.assign(count, 0.0);
-    massFlow_.assign(count, 0.0);
-    watts_.assign(count, 0.0);
-    invCapacity_.assign(count, 0.0);
-    invStagnant_.assign(count, 1.0 / kStagnantAirHeatCapacity);
-    pinned_.assign(count, 0);
-    pinValue_.assign(count, 0.0);
-
+    std::vector<NodeKind> kinds;
     bool saw_inlet = false;
     bool saw_exhaust = false;
     for (const NodeSpec &ns : spec.nodes) {
@@ -51,79 +32,98 @@ ThermalGraph::ThermalGraph(const MachineSpec &spec)
         node.kind = ns.kind;
         node.mass = ns.mass;
         node.specificHeat = ns.specificHeat;
-        temperature_[id] =
-            ns.initialTemperature.value_or(spec.initialTemperature);
         if (ns.hasPower) {
             node.powerModel =
                 std::make_unique<LinearPowerModel>(ns.minPower, ns.maxPower);
             poweredIds_.push_back(id);
         }
-        if (ns.kind == NodeKind::Component) {
-            solidIds_.push_back(id);
-            invCapacity_[id] = 1.0 / (ns.mass * ns.specificHeat);
-        }
-        if (ns.mass > 0.0 && ns.specificHeat > 0.0)
-            invStagnant_[id] = 1.0 / (ns.mass * ns.specificHeat);
         byName_[ns.name] = id;
-        if (ns.kind == NodeKind::Inlet) {
-            inlet_ = id;
-            saw_inlet = true;
-        }
-        if (ns.kind == NodeKind::Exhaust) {
-            exhaust_ = id;
-            saw_exhaust = true;
-        }
+        saw_inlet |= ns.kind == NodeKind::Inlet;
+        saw_exhaust |= ns.kind == NodeKind::Exhaust;
+        kinds.push_back(ns.kind);
         nodes_.push_back(std::move(node));
     }
     // validate() already demands exactly one inlet/exhaust; this is
-    // defense in depth, because inlet_ defaulting to node 0 would
+    // defense in depth, because the inlet defaulting to node 0 would
     // silently clobber that node's initial temperature below.
     if (!saw_inlet)
         MERCURY_PANIC("machine '", name_, "': spec has no Inlet node");
     if (!saw_exhaust)
         MERCURY_PANIC("machine '", name_, "': spec has no Exhaust node");
-    temperature_[inlet_] = spec.inletTemperature;
+
+    std::vector<uint32_t> heat_a, heat_b, air_from, air_to;
+    for (const HeatEdgeSpec &es : spec.heatEdges) {
+        heat_a.push_back(static_cast<uint32_t>(requireNode(es.a)));
+        heat_b.push_back(static_cast<uint32_t>(requireNode(es.b)));
+    }
+    for (const AirEdgeSpec &es : spec.airEdges) {
+        air_from.push_back(static_cast<uint32_t>(requireNode(es.from)));
+        air_to.push_back(static_cast<uint32_t>(requireNode(es.to)));
+        airFraction_.push_back(es.fraction);
+    }
+    own_ = std::make_unique<MachineBatch>(
+        Topology::build(std::move(kinds),
+                        std::vector<uint32_t>(poweredIds_.begin(),
+                                              poweredIds_.end()),
+                        std::move(heat_a), std::move(heat_b),
+                        std::move(air_from), std::move(air_to)),
+        1);
+    batch_ = own_.get();
+    batch_->graphs[0] = this;
+    MachineBatch &b = *batch_;
+
+    for (NodeId id = 0; id < count; ++id) {
+        const NodeSpec &ns = spec.nodes[id];
+        at(b.temperature, id) =
+            ns.initialTemperature.value_or(spec.initialTemperature);
+        if (ns.kind == NodeKind::Component)
+            at(b.invCapacity, id) = 1.0 / (ns.mass * ns.specificHeat);
+        at(b.invStagnant, id) = ns.mass > 0.0 && ns.specificHeat > 0.0
+                                    ? 1.0 / (ns.mass * ns.specificHeat)
+                                    : 1.0 / kStagnantAirHeatCapacity;
+    }
+    at(b.temperature, b.topology().inlet) = spec.inletTemperature;
 
     for (const NodeId id : poweredIds_)
         refreshWatts(id);
-
-    for (const HeatEdgeSpec &es : spec.heatEdges)
-        heatEdges_.push_back({requireNode(es.a), requireNode(es.b), es.k});
-    for (const AirEdgeSpec &es : spec.airEdges) {
-        airEdges_.push_back(
-            {requireNode(es.from), requireNode(es.to), es.fraction});
+    for (size_t i = 0; i < spec.heatEdges.size(); ++i) {
+        at(b.heatK, i) = spec.heatEdges[i].k;
+        syncHeatCsrK(i);
     }
-
-    // CSR of heat edges incident to each node. Row order matches the
-    // seed's adjacency-list build: for each edge in spec order, the a
-    // endpoint then the b endpoint.
-    std::vector<uint32_t> degree(count, 0);
-    for (const HeatEdge &edge : heatEdges_) {
-        ++degree[edge.a];
-        ++degree[edge.b];
-    }
-    heatOffsets_.assign(count + 1, 0);
-    for (size_t i = 0; i < count; ++i)
-        heatOffsets_[i + 1] = heatOffsets_[i] + degree[i];
-    heatCsrEdge_.assign(heatOffsets_[count], 0);
-    heatCsrOther_.assign(heatOffsets_[count], 0);
-    heatCsrK_.assign(heatOffsets_[count], 0.0);
-    {
-        std::vector<uint32_t> cursor(heatOffsets_.begin(),
-                                     heatOffsets_.end() - 1);
-        for (size_t i = 0; i < heatEdges_.size(); ++i) {
-            const HeatEdge &edge = heatEdges_[i];
-            uint32_t slot_a = cursor[edge.a]++;
-            heatCsrEdge_[slot_a] = static_cast<uint32_t>(i);
-            heatCsrOther_[slot_a] = static_cast<uint32_t>(edge.b);
-            uint32_t slot_b = cursor[edge.b]++;
-            heatCsrEdge_[slot_b] = static_cast<uint32_t>(i);
-            heatCsrOther_[slot_b] = static_cast<uint32_t>(edge.a);
-        }
-    }
-    syncHeatCsrK();
-
     recomputeFlows();
+}
+
+void
+ThermalGraph::attach(MachineBatch *batch, size_t lane)
+{
+    batch_ = batch;
+    lane_ = lane;
+    batch->graphs[lane] = this;
+    own_.reset();
+}
+
+void
+ThermalGraph::rebatch(std::shared_ptr<const Topology> topology)
+{
+    auto fresh = std::make_unique<MachineBatch>(std::move(topology), 1);
+    fresh->copyLane(0, *batch_, lane_);
+    if (!own_) {
+        batch_->graphs[lane_] = nullptr;
+        ++batch_->vacancies;
+    }
+    own_ = std::move(fresh);
+    batch_ = own_.get();
+    lane_ = 0;
+    batch_->graphs[0] = this;
+}
+
+NodeId
+ThermalGraph::checkedId(NodeId id) const
+{
+    if (id >= nodes_.size())
+        MERCURY_PANIC("machine '", name_, "': node id ", id,
+                      " out of range");
+    return id;
 }
 
 NodeId
@@ -174,115 +174,71 @@ ThermalGraph::nodeNames() const
 }
 
 void
-ThermalGraph::syncHeatCsrK()
+ThermalGraph::syncHeatCsrK(size_t edge)
 {
-    for (size_t slot = 0; slot < heatCsrEdge_.size(); ++slot)
-        heatCsrK_[slot] = heatEdges_[heatCsrEdge_[slot]].k;
+    const Topology &topo = batch_->topology();
+    double k = at(batch_->heatK, edge);
+    for (uint32_t end : {topo.heatA[edge], topo.heatB[edge]}) {
+        for (uint32_t slot = topo.heatOffsets[end];
+             slot < topo.heatOffsets[end + 1]; ++slot) {
+            if (topo.heatCsrEdge[slot] == edge)
+                at(batch_->heatCsrK, slot) = k;
+        }
+    }
 }
 
 void
 ThermalGraph::refreshWatts(NodeId id)
 {
     const Node &node = nodes_[id];
-    watts_[id] =
+    at(batch_->watts, id) =
         node.powerModel ? node.powerModel->power(node.utilization) : 0.0;
 }
 
 void
 ThermalGraph::recomputeFlows()
 {
-    size_t count = nodes_.size();
-
-    // CSR of incoming air edges per node, in airEdges_ order (matches
-    // the order the seed's adjacency lists were filled in).
-    std::vector<uint32_t> in_degree(count, 0);
-    for (const AirEdge &edge : airEdges_)
-        ++in_degree[edge.to];
-    airInOffsets_.assign(count + 1, 0);
-    for (size_t i = 0; i < count; ++i)
-        airInOffsets_[i + 1] = airInOffsets_[i] + in_degree[i];
-    airInFrom_.assign(airInOffsets_[count], 0);
-    std::vector<uint32_t> edge_of_slot(airInOffsets_[count], 0);
-    {
-        std::vector<uint32_t> cursor(airInOffsets_.begin(),
-                                     airInOffsets_.end() - 1);
-        for (size_t i = 0; i < airEdges_.size(); ++i) {
-            uint32_t slot = cursor[airEdges_[i].to]++;
-            airInFrom_[slot] = static_cast<uint32_t>(airEdges_[i].from);
-            edge_of_slot[slot] = static_cast<uint32_t>(i);
-        }
-    }
-
-    // Topological order over air vertices (Kahn), starting from the
-    // inlet. The spec validator already guaranteed acyclicity.
-    airOrder_.clear();
-    std::vector<NodeId> ready;
-    for (NodeId id = 0; id < count; ++id) {
-        if (isAirKind(nodes_[id].kind) && in_degree[id] == 0)
-            ready.push_back(id);
-    }
-    std::vector<uint32_t> remaining = in_degree;
-    std::vector<NodeId> order;
-    while (!ready.empty()) {
-        // Pop the smallest id for determinism.
-        auto it = std::min_element(ready.begin(), ready.end());
-        NodeId id = *it;
-        ready.erase(it);
-        order.push_back(id);
-        for (const AirEdge &edge : airEdges_) {
-            if (edge.from == id && --remaining[edge.to] == 0)
-                ready.push_back(edge.to);
-        }
-    }
-
     // Propagate mass flow from the fan through the edge fractions, and
     // cache each incoming edge's contribution weight so the substep
     // only multiplies weights by upstream temperatures.
-    std::fill(massFlow_.begin(), massFlow_.end(), 0.0);
-    massFlow_[inlet_] = units::cfmToKgPerS(fanCfm_);
-    flowIn_.assign(count, 0.0);
-    airInWeight_.assign(airInFrom_.size(), 0.0);
-    for (NodeId id : order) {
+    MachineBatch &b = *batch_;
+    const Topology &topo = b.topology();
+    for (NodeId id = 0; id < nodes_.size(); ++id)
+        at(b.massFlow, id) = 0.0;
+    at(b.massFlow, topo.inlet) = units::cfmToKgPerS(fanCfm_);
+    for (NodeId id = 0; id < nodes_.size(); ++id)
+        at(b.flowIn, id) = 0.0;
+    for (uint32_t id : topo.flowOrder) {
         double flow_in = 0.0;
-        for (uint32_t slot = airInOffsets_[id]; slot < airInOffsets_[id + 1];
-             ++slot) {
-            const AirEdge &edge = airEdges_[edge_of_slot[slot]];
-            double weight = edge.fraction * massFlow_[edge.from];
-            airInWeight_[slot] = weight;
+        for (uint32_t slot = topo.airInOffsets[id];
+             slot < topo.airInOffsets[id + 1]; ++slot) {
+            double weight = airFraction_[topo.airInEdge[slot]] *
+                            at(b.massFlow, topo.airInFrom[slot]);
+            at(b.airInWeight, slot) = weight;
             flow_in += weight;
         }
-        massFlow_[id] += flow_in;
-        flowIn_[id] = flow_in;
+        at(b.massFlow, id) += flow_in;
+        at(b.flowIn, id) = flow_in;
     }
-
-    // The marching order used by substep() excludes the inlet (a
-    // boundary) but includes everything downstream of it.
-    airOrder_.clear();
-    for (NodeId id : order) {
-        if (id != inlet_)
-            airOrder_.push_back(id);
-    }
-
-    planDirty_ = true;
+    b.planDirty[lane_] = 1;
 }
 
 int
-ThermalGraph::substepsFor(double dt_seconds) const
+ThermalGraph::planSubsteps(double dt_seconds) const
 {
-    if (!planDirty_ && dt_seconds == planDt_)
-        return planSubsteps_;
-
     // Explicit Euler on a solid node is stable when
     // dt * (sum of incident k) / (m c) < 1; we target <= 0.25 for
     // accuracy. Air vertices are updated algebraically and do not
     // constrain dt, except stagnant ones which use a fixed capacity.
+    MachineBatch &b = *batch_;
+    const Topology &topo = b.topology();
     double worst_rate = 0.0;
     for (NodeId id = 0; id < nodes_.size(); ++id) {
         const Node &node = nodes_[id];
         double capacity = 0.0;
         if (node.kind == NodeKind::Component) {
             capacity = node.mass * node.specificHeat;
-        } else if (node.kind == NodeKind::Air && massFlow_[id] <= 0.0) {
+        } else if (node.kind == NodeKind::Air && at(b.massFlow, id) <= 0.0) {
             capacity = node.mass > 0.0 && node.specificHeat > 0.0
                            ? node.mass * node.specificHeat
                            : kStagnantAirHeatCapacity;
@@ -290,9 +246,9 @@ ThermalGraph::substepsFor(double dt_seconds) const
             continue;
         }
         double k_sum = 0.0;
-        for (uint32_t slot = heatOffsets_[id]; slot < heatOffsets_[id + 1];
-             ++slot)
-            k_sum += heatCsrK_[slot];
+        for (uint32_t slot = topo.heatOffsets[id];
+             slot < topo.heatOffsets[id + 1]; ++slot)
+            k_sum += at(b.heatCsrK, slot);
         if (capacity > 0.0)
             worst_rate = std::max(worst_rate, k_sum / capacity);
     }
@@ -302,9 +258,9 @@ ThermalGraph::substepsFor(double dt_seconds) const
         substeps =
             std::max(1, static_cast<int>(std::ceil(dt_seconds / max_dt)));
     }
-    planDirty_ = false;
-    planDt_ = dt_seconds;
-    planSubsteps_ = substeps;
+    b.planDirty[lane_] = 0;
+    b.planDt[lane_] = dt_seconds;
+    b.planSubsteps[lane_] = substeps;
     return substeps;
 }
 
@@ -313,13 +269,8 @@ ThermalGraph::step(double dt_seconds)
 {
     if (dt_seconds <= 0.0)
         MERCURY_PANIC("ThermalGraph::step: non-positive dt ", dt_seconds);
-    int substeps = substepsFor(dt_seconds);
-    double dt = dt_seconds / substeps;
-    double max_delta = 0.0;
-    for (int i = 0; i < substeps; ++i)
-        max_delta = std::max(max_delta, substep(dt));
-    ++stateVersion_;
-    return max_delta;
+    batch_->step(lane_, lane_ + 1, dt_seconds, substepsFor(dt_seconds));
+    return batch_->lastDelta[lane_];
 }
 
 double
@@ -327,118 +278,29 @@ ThermalGraph::poweredWatts() const
 {
     double watts = 0.0;
     for (NodeId id : poweredIds_)
-        watts += watts_[id];
+        watts += at(batch_->watts, id);
     return watts;
-}
-
-double
-ThermalGraph::substep(double dt)
-{
-    const double *temperature = temperature_.data();
-    double *heat_gain = heatGain_.data();
-
-    // 1. Heat generated by each powered component (eq. 3-4), using the
-    // power draw cached at the last utilization/model change.
-    std::fill(heatGain_.begin(), heatGain_.end(), 0.0);
-    double energy = 0.0;
-    for (NodeId id : poweredIds_) {
-        double joules = watts_[id] * dt;
-        heat_gain[id] = joules;
-        energy += joules;
-    }
-    energyConsumed_ += energy;
-
-    // 2. Heat transferred along every heat edge (eq. 2), using the
-    // temperatures at the start of the substep.
-    for (const HeatEdge &edge : heatEdges_) {
-        double q = edge.k * (temperature[edge.a] - temperature[edge.b]) * dt;
-        heat_gain[edge.a] -= q;
-        heat_gain[edge.b] += q;
-    }
-
-    // 3. Solid temperature update (eq. 5). The per-node change also
-    // feeds the quiescence signal: max_delta is computed from exactly
-    // the increments applied, so it is free of extra rounding.
-    double max_delta = 0.0;
-    for (NodeId id : solidIds_) {
-        if (pinned_[id]) {
-            double delta = pinValue_[id] - temperature_[id];
-            temperature_[id] = pinValue_[id];
-            max_delta = std::max(max_delta, std::fabs(delta));
-            continue;
-        }
-        double delta = heat_gain[id] * invCapacity_[id];
-        temperature_[id] += delta;
-        max_delta = std::max(max_delta, std::fabs(delta));
-    }
-
-    // 4. Air traversal: march downstream from the inlet. Each vertex
-    // mixes its inflows perfectly and exchanges heat with its
-    // neighbours. The flowing-air balance is solved implicitly —
-    //   F_c (Ta - T_mix) = sum_j k_j (T_j - Ta),  F_c = mdot c_air —
-    // which is unconditionally stable even when a heat edge's k
-    // exceeds the stream's heat-capacity rate, and identical to the
-    // explicit form at steady state.
-    for (NodeId id : airOrder_) {
-        if (pinned_[id]) {
-            double delta = pinValue_[id] - temperature_[id];
-            temperature_[id] = pinValue_[id];
-            max_delta = std::max(max_delta, std::fabs(delta));
-            continue;
-        }
-        double flow_in = flowIn_[id];
-        if (flow_in > 1e-12) {
-            double mix = 0.0;
-            for (uint32_t slot = airInOffsets_[id];
-                 slot < airInOffsets_[id + 1]; ++slot) {
-                mix += airInWeight_[slot] * temperature_[airInFrom_[slot]];
-            }
-            double capacity_rate = flow_in * units::kAirSpecificHeat;
-            double numer = mix * units::kAirSpecificHeat;
-            double denom = capacity_rate;
-            for (uint32_t slot = heatOffsets_[id];
-                 slot < heatOffsets_[id + 1]; ++slot) {
-                numer += heatCsrK_[slot] * temperature_[heatCsrOther_[slot]];
-                denom += heatCsrK_[slot];
-            }
-            numer += watts_[id];
-            double updated = numer / denom;
-            max_delta =
-                std::max(max_delta, std::fabs(updated - temperature_[id]));
-            temperature_[id] = updated;
-        } else {
-            // Stagnant air: integrate like a small thermal mass.
-            double delta = heat_gain[id] * invStagnant_[id];
-            temperature_[id] += delta;
-            max_delta = std::max(max_delta, std::fabs(delta));
-        }
-    }
-
-    // Pinned inlet handled by setInletTemperature / pinTemperature.
-    if (pinned_[inlet_]) {
-        max_delta = std::max(
-            max_delta, std::fabs(pinValue_[inlet_] - temperature_[inlet_]));
-        temperature_[inlet_] = pinValue_[inlet_];
-    }
-    return max_delta;
 }
 
 double
 ThermalGraph::temperature(NodeId id) const
 {
-    return temperature_.at(id);
+    return at(batch_->temperature, checkedId(id));
 }
 
 double
 ThermalGraph::temperature(const std::string &node_name) const
 {
-    return temperature_[requireNode(node_name)];
+    return at(batch_->temperature, requireNode(node_name));
 }
 
 std::vector<double>
 ThermalGraph::temperatures() const
 {
-    return temperature_;
+    std::vector<double> out(nodes_.size());
+    for (NodeId id = 0; id < out.size(); ++id)
+        out[id] = at(batch_->temperature, id);
+    return out;
 }
 
 void
@@ -448,23 +310,15 @@ ThermalGraph::setTemperatures(const std::vector<double> &values)
         MERCURY_PANIC("setTemperatures: got ", values.size(),
                       " values for ", nodes_.size(), " nodes");
     }
-    temperature_ = values;
+    for (NodeId id = 0; id < values.size(); ++id)
+        at(batch_->temperature, id) = values[id];
     noteInputChanged();
-}
-
-double
-ThermalGraph::exhaustTemperature() const
-{
-    return temperature_[exhaust_];
 }
 
 double
 ThermalGraph::massFlow(NodeId id) const
 {
-    if (id >= nodes_.size())
-        MERCURY_PANIC("machine '", name_, "': node id ", id,
-                      " out of range");
-    return massFlow_[id];
+    return at(batch_->massFlow, checkedId(id));
 }
 
 double
@@ -482,17 +336,13 @@ ThermalGraph::utilization(NodeId id) const
 double
 ThermalGraph::power(const std::string &node_name) const
 {
-    NodeId id = requireNode(node_name);
-    return watts_[id];
+    return at(batch_->watts, requireNode(node_name));
 }
 
 double
 ThermalGraph::totalPower() const
 {
-    double sum = 0.0;
-    for (NodeId id : poweredIds_)
-        sum += watts_[id];
-    return sum;
+    return poweredWatts();
 }
 
 ThermalGraph::Node &
@@ -542,55 +392,45 @@ ThermalGraph::isPowered(NodeId id) const
 void
 ThermalGraph::setInletTemperature(double celsius)
 {
-    temperature_[inlet_] = celsius;
+    at(batch_->temperature, batch_->topology().inlet) = celsius;
     noteInputChanged();
-}
-
-void
-ThermalGraph::deliverInletTemperature(double celsius)
-{
-    // Not an input mutation (the room delivers every iteration); only
-    // dirty the telemetry stamp, and only when the value moved.
-    if (temperature_[inlet_] == celsius)
-        return;
-    temperature_[inlet_] = celsius;
-    ++stateVersion_;
-}
-
-double
-ThermalGraph::inletTemperature() const
-{
-    return temperature_[inlet_];
 }
 
 void
 ThermalGraph::setTemperature(const std::string &node_name, double celsius)
 {
-    temperature_[requireNode(node_name)] = celsius;
+    at(batch_->temperature, requireNode(node_name)) = celsius;
     noteInputChanged();
 }
 
 void
 ThermalGraph::pinTemperature(const std::string &node_name, double celsius)
 {
-    NodeId id = requireNode(node_name);
-    pinned_[id] = 1;
-    pinValue_[id] = celsius;
-    temperature_[id] = celsius;
-    noteInputChanged();
+    pinTemperature(requireNode(node_name), celsius);
 }
 
 void
 ThermalGraph::unpinTemperature(const std::string &node_name)
 {
-    pinned_[requireNode(node_name)] = 0;
-    noteInputChanged();
+    unpinTemperature(requireNode(node_name));
 }
 
 bool
 ThermalGraph::isPinned(const std::string &node_name) const
 {
-    return pinned_[requireNode(node_name)] != 0;
+    return isPinned(requireNode(node_name));
+}
+
+std::optional<size_t>
+ThermalGraph::findHeatEdge(NodeId a, NodeId b) const
+{
+    const Topology &topo = batch_->topology();
+    for (size_t i = 0; i < topo.heatA.size(); ++i) {
+        if ((topo.heatA[i] == a && topo.heatB[i] == b) ||
+            (topo.heatA[i] == b && topo.heatB[i] == a))
+            return i;
+    }
+    return std::nullopt;
 }
 
 void
@@ -598,33 +438,19 @@ ThermalGraph::setHeatK(const std::string &a, const std::string &b, double k)
 {
     if (k <= 0.0)
         MERCURY_PANIC("setHeatK: non-positive k ", k);
-    NodeId na = requireNode(a);
-    NodeId nb = requireNode(b);
-    for (HeatEdge &edge : heatEdges_) {
-        if ((edge.a == na && edge.b == nb) ||
-            (edge.a == nb && edge.b == na)) {
-            edge.k = k;
-            syncHeatCsrK();
-            planDirty_ = true;
-            noteInputChanged();
-            return;
-        }
-    }
-    MERCURY_PANIC("machine '", name_, "': no heat edge ", a, " -- ", b);
+    auto edge = findHeatEdge(requireNode(a), requireNode(b));
+    if (!edge)
+        MERCURY_PANIC("machine '", name_, "': no heat edge ", a, " -- ", b);
+    setHeatK(*edge, k);
 }
 
 double
 ThermalGraph::heatK(const std::string &a, const std::string &b) const
 {
-    NodeId na = requireNode(a);
-    NodeId nb = requireNode(b);
-    for (const HeatEdge &edge : heatEdges_) {
-        if ((edge.a == na && edge.b == nb) ||
-            (edge.a == nb && edge.b == na)) {
-            return edge.k;
-        }
-    }
-    MERCURY_PANIC("machine '", name_, "': no heat edge ", a, " -- ", b);
+    auto edge = findHeatEdge(requireNode(a), requireNode(b));
+    if (!edge)
+        MERCURY_PANIC("machine '", name_, "': no heat edge ", a, " -- ", b);
+    return at(batch_->heatK, *edge);
 }
 
 bool
@@ -632,15 +458,7 @@ ThermalGraph::hasHeatEdge(const std::string &a, const std::string &b) const
 {
     auto na = tryNodeId(a);
     auto nb = tryNodeId(b);
-    if (!na || !nb)
-        return false;
-    for (const HeatEdge &edge : heatEdges_) {
-        if ((edge.a == *na && edge.b == *nb) ||
-            (edge.a == *nb && edge.b == *na)) {
-            return true;
-        }
-    }
-    return false;
+    return na && nb && findHeatEdge(*na, *nb);
 }
 
 bool
@@ -650,8 +468,9 @@ ThermalGraph::hasAirEdge(const std::string &from, const std::string &to) const
     auto nt = tryNodeId(to);
     if (!nf || !nt)
         return false;
-    for (const AirEdge &edge : airEdges_) {
-        if (edge.from == *nf && edge.to == *nt)
+    const Topology &topo = batch_->topology();
+    for (size_t i = 0; i < topo.airFrom.size(); ++i) {
+        if (topo.airFrom[i] == *nf && topo.airTo[i] == *nt)
             return true;
     }
     return false;
@@ -673,11 +492,10 @@ ThermalGraph::setAirFraction(const std::string &from, const std::string &to,
                       " outside [0, 1]");
     NodeId nf = requireNode(from);
     NodeId nt = requireNode(to);
-    for (AirEdge &edge : airEdges_) {
-        if (edge.from == nf && edge.to == nt) {
-            edge.fraction = fraction;
-            recomputeFlows();
-            noteInputChanged();
+    const Topology &topo = batch_->topology();
+    for (size_t i = 0; i < topo.airFrom.size(); ++i) {
+        if (topo.airFrom[i] == nf && topo.airTo[i] == nt) {
+            setAirFraction(i, fraction);
             return;
         }
     }
@@ -713,8 +531,12 @@ ThermalGraph::setPowerRange(const std::string &node_name, double p_min,
 ThermalGraph::HeatEdgeView
 ThermalGraph::heatEdge(size_t index) const
 {
-    const HeatEdge &edge = heatEdges_.at(index);
-    return {nodes_[edge.a].name, nodes_[edge.b].name, edge.k};
+    const Topology &topo = batch_->topology();
+    if (index >= topo.heatA.size())
+        MERCURY_PANIC("machine '", name_, "': heat edge ", index,
+                      " out of range");
+    return {nodes_[topo.heatA[index]].name, nodes_[topo.heatB[index]].name,
+            at(batch_->heatK, index)};
 }
 
 void
@@ -722,17 +544,24 @@ ThermalGraph::setHeatK(size_t index, double k)
 {
     if (k <= 0.0)
         MERCURY_PANIC("setHeatK: non-positive k ", k);
-    heatEdges_.at(index).k = k;
-    syncHeatCsrK();
-    planDirty_ = true;
+    if (index >= heatEdgeCount())
+        MERCURY_PANIC("machine '", name_, "': heat edge ", index,
+                      " out of range");
+    at(batch_->heatK, index) = k;
+    syncHeatCsrK(index);
+    batch_->planDirty[lane_] = 1;
     noteInputChanged();
 }
 
 ThermalGraph::AirEdgeView
 ThermalGraph::airEdge(size_t index) const
 {
-    const AirEdge &edge = airEdges_.at(index);
-    return {nodes_[edge.from].name, nodes_[edge.to].name, edge.fraction};
+    const Topology &topo = batch_->topology();
+    if (index >= topo.airFrom.size())
+        MERCURY_PANIC("machine '", name_, "': air edge ", index,
+                      " out of range");
+    return {nodes_[topo.airFrom[index]].name, nodes_[topo.airTo[index]].name,
+            airFraction_[index]};
 }
 
 void
@@ -741,7 +570,7 @@ ThermalGraph::setAirFraction(size_t index, double fraction)
     if (fraction < 0.0 || fraction > 1.0)
         MERCURY_PANIC("setAirFraction: fraction ", fraction,
                       " outside [0, 1]");
-    airEdges_.at(index).fraction = fraction;
+    airFraction_.at(index) = fraction;
     recomputeFlows();
     noteInputChanged();
 }
@@ -749,9 +578,10 @@ ThermalGraph::setAirFraction(size_t index, double fraction)
 void
 ThermalGraph::pinTemperature(NodeId id, double celsius)
 {
-    pinned_.at(id) = 1;
-    pinValue_[id] = celsius;
-    temperature_[id] = celsius;
+    MachineBatch &b = *batch_;
+    at(b.pinned, checkedId(id)) = 1.0;
+    at(b.pinValue, id) = celsius;
+    at(b.temperature, id) = celsius;
     noteInputChanged();
 }
 
@@ -785,8 +615,16 @@ ThermalGraph::setPowerModel(const std::string &node_name,
     bool was_powered = nodes_[id].powerModel != nullptr;
     nodes_[id].powerModel = std::move(model);
     if (!was_powered) {
-        poweredIds_.push_back(id);
-        std::sort(poweredIds_.begin(), poweredIds_.end());
+        // The powered set is part of the topology: this machine no
+        // longer batches with its old peers.
+        poweredIds_.insert(
+            std::lower_bound(poweredIds_.begin(), poweredIds_.end(), id),
+            id);
+        const Topology &old = batch_->topology();
+        rebatch(Topology::build(
+            old.kinds,
+            std::vector<uint32_t>(poweredIds_.begin(), poweredIds_.end()),
+            old.heatA, old.heatB, old.airFrom, old.airTo));
     }
     noteInputChanged();
     refreshWatts(id);

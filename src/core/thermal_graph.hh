@@ -14,11 +14,14 @@
  * A time step is automatically split into explicit-Euler substeps when
  * the stiffest solid node would otherwise be unstable.
  *
- * Hot state (temperatures, heat gains, mass flows, pins) lives in
- * dense structure-of-arrays storage and the adjacency is flattened
- * into CSR offset+index arrays, so a substep is a handful of linear
- * scans with no per-call heap traffic. Derived quantities that only
- * change on explicit mutation — per-node power draw, inverse heat
+ * A ThermalGraph is a view of one lane of a MachineBatch
+ * (core/machine_batch.hh): hot state (temperatures, heat gains, mass
+ * flows, pins, edge constants, energy, version counters) lives in the
+ * batch's lane-minor arrays, and the topology's CSR adjacency is
+ * stored once per batch. A standalone graph owns a one-lane batch; the
+ * Solver regroups its machines into one batch per distinct topology,
+ * so its graphs view lanes of shared batches. Derived quantities that
+ * only change on explicit mutation — per-node power draw, inverse heat
  * capacities, the substep count — are cached and recomputed on the
  * mutating calls (setUtilization, setHeatK, setFanCfm, ...), not once
  * per step.
@@ -34,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/machine_batch.hh"
 #include "core/power.hh"
 #include "core/spec.hh"
 
@@ -70,17 +74,14 @@ class ThermalGraph
     double step(double dt_seconds);
 
     /** Substep count step() would use for @p dt_seconds. */
-    int substepsFor(double dt_seconds) const;
-
-    /**
-     * Advance only the energy accumulator by @p joules, exactly what
-     * a frozen (quiescent) machine consumes: its utilizations — and
-     * therefore its power draw — cannot change while frozen, so the
-     * integral is poweredWatts() x dt and the thermal state stays
-     * untouched. The solver caches poweredWatts() at freeze time so
-     * the per-iteration frozen cost is one add, not a node scan.
-     */
-    void accrueFrozenEnergy(double joules) { energyConsumed_ += joules; }
+    int
+    substepsFor(double dt_seconds) const
+    {
+        const MachineBatch &b = *batch_;
+        if (!b.planDirty[lane_] && dt_seconds == b.planDt[lane_])
+            return b.planSubsteps[lane_];
+        return planSubsteps(dt_seconds);
+    }
 
     /** Total instantaneous draw over the powered nodes [W]. */
     double poweredWatts() const;
@@ -92,7 +93,7 @@ class ThermalGraph
      * whether a machine's inputs changed since it froze; anything that
      * bumps it wakes a frozen machine on the next iteration.
      */
-    uint64_t inputVersion() const { return inputVersion_; }
+    uint64_t inputVersion() const { return batch_->inputVersion[lane_]; }
 
     /**
      * Monotonic counter bumped whenever any published state (node
@@ -101,7 +102,7 @@ class ThermalGraph
      * value. The telemetry writer skips recopying a machine whose
      * stateVersion is unchanged since its last publish.
      */
-    uint64_t stateVersion() const { return stateVersion_; }
+    uint64_t stateVersion() const { return batch_->stateVersion[lane_]; }
 
     /// @}
     /** @name State access */
@@ -124,7 +125,10 @@ class ThermalGraph
     void setTemperatures(const std::vector<double> &values);
 
     /** Exhaust air temperature [degC] (input to the room model). */
-    double exhaustTemperature() const;
+    double exhaustTemperature() const
+    {
+        return at(batch_->temperature, batch_->topology().exhaust);
+    }
 
     /** Air mass flow through a vertex [kg/s] (0 for solids). */
     double massFlow(NodeId id) const;
@@ -140,7 +144,7 @@ class ThermalGraph
     double totalPower() const;
 
     /** Electrical energy integrated since construction [J]. */
-    double energyConsumed() const { return energyConsumed_; }
+    double energyConsumed() const { return batch_->energy[lane_]; }
 
     /// @}
     /** @name Dynamic inputs (monitord, fiddle, room model) */
@@ -161,16 +165,10 @@ class ThermalGraph
 
     /** Inlet boundary temperature [degC]. */
     void setInletTemperature(double celsius);
-    double inletTemperature() const;
-
-    /**
-     * The room model's per-iteration inlet delivery. Writes the same
-     * boundary as setInletTemperature but does not count as an input
-     * mutation: the solver compares the delivered value against the
-     * frozen inlet with its own epsilon, so a steady room does not
-     * wake a quiescent machine every second.
-     */
-    void deliverInletTemperature(double celsius);
+    double inletTemperature() const
+    {
+        return at(batch_->temperature, batch_->topology().inlet);
+    }
 
     /** Instantly set a node temperature; it evolves freely afterwards. */
     void setTemperature(const std::string &node_name, double celsius);
@@ -230,11 +228,11 @@ class ThermalGraph
         double fraction;
     };
 
-    size_t heatEdgeCount() const { return heatEdges_.size(); }
+    size_t heatEdgeCount() const { return batch_->topology().heatA.size(); }
     HeatEdgeView heatEdge(size_t index) const;
     void setHeatK(size_t index, double k);
 
-    size_t airEdgeCount() const { return airEdges_.size(); }
+    size_t airEdgeCount() const { return airFraction_.size(); }
     AirEdgeView airEdge(size_t index) const;
     void setAirFraction(size_t index, double fraction);
 
@@ -244,12 +242,18 @@ class ThermalGraph
         return poweredIds_;
     }
 
-    bool isPinned(NodeId id) const { return pinned_.at(id) != 0; }
-    double pinnedTemperature(NodeId id) const { return pinValue_.at(id); }
+    bool isPinned(NodeId id) const
+    {
+        return at(batch_->pinned, checkedId(id)) != 0.0;
+    }
+    double pinnedTemperature(NodeId id) const
+    {
+        return at(batch_->pinValue, checkedId(id));
+    }
     void pinTemperature(NodeId id, double celsius);
     void unpinTemperature(NodeId id)
     {
-        pinned_.at(id) = 0;
+        at(batch_->pinned, checkedId(id)) = 0.0;
         noteInputChanged();
     }
 
@@ -258,12 +262,18 @@ class ThermalGraph
     double maxPower(NodeId id) const;
 
     /** Overwrite the integrated energy counter (checkpoint restore). */
-    void restoreEnergyConsumed(double joules) { energyConsumed_ = joules; }
+    void restoreEnergyConsumed(double joules)
+    {
+        batch_->energy[lane_] = joules;
+    }
 
     /// @}
 
   private:
-    /** Cold per-node data; hot state lives in the dense arrays below. */
+    friend class RoomModel;
+    friend class Solver;
+
+    /** Cold per-node data; hot state lives in the batch's lanes. */
     struct Node
     {
         std::string name;
@@ -274,28 +284,34 @@ class ThermalGraph
         std::unique_ptr<PowerModel> powerModel; // null if unpowered
     };
 
-    struct HeatEdge
+    /** This lane's element of node/edge/slot row @p row. */
+    template <typename T>
+    T &
+    at(std::vector<T> &array, size_t row) const
     {
-        NodeId a;
-        NodeId b;
-        double k; // W/K
-    };
+        return array[row * batch_->lanes() + lane_];
+    }
+    template <typename T>
+    const T &
+    at(const std::vector<T> &array, size_t row) const
+    {
+        return array[row * batch_->lanes() + lane_];
+    }
 
-    struct AirEdge
-    {
-        NodeId from;
-        NodeId to;
-        double fraction;
-    };
+    /** @p id, or a panic when it is out of range. */
+    NodeId checkedId(NodeId id) const;
 
     NodeId requireNode(const std::string &node_name) const;
     Node &poweredNode(const std::string &node_name);
 
-    /** Recompute per-vertex mass flows and the air topological order. */
+    /** Heat edge index joining @p a and @p b (either direction). */
+    std::optional<size_t> findHeatEdge(NodeId a, NodeId b) const;
+
+    /** Recompute this lane's mass flows and air-in weights. */
     void recomputeFlows();
 
-    /** Refresh the flattened copy of the heat-edge constants. */
-    void syncHeatCsrK();
+    /** Refresh this lane's CSR mirror of edge @p edge's constant. */
+    void syncHeatCsrK(size_t edge);
 
     /** Refresh cached power draw after a utilization/model change. */
     void refreshWatts(NodeId id);
@@ -303,82 +319,34 @@ class ThermalGraph
     /** An input mutation: wakes frozen machines, dirties telemetry. */
     void noteInputChanged()
     {
-        ++inputVersion_;
-        ++stateVersion_;
+        ++batch_->inputVersion[lane_];
+        ++batch_->stateVersion[lane_];
     }
 
-    /** One explicit-Euler substep; returns its max per-node |dT|. */
-    double substep(double dt);
+    /** Recompute the stability-bound substep count (cache miss). */
+    int planSubsteps(double dt_seconds) const;
+
+    /** View lane @p lane of @p batch, dropping any batch owned so far
+     *  (the caller copied this lane's state into it first). */
+    void attach(MachineBatch *batch, size_t lane);
+
+    /** Move this lane into a one-lane batch of @p topology, leaving a
+     *  vacancy behind in a shared batch (powered-set change). */
+    void rebatch(std::shared_ptr<const Topology> topology);
+
+    MachineBatch &batch() const { return *batch_; }
+    size_t lane() const { return lane_; }
 
     std::string name_;
     std::vector<Node> nodes_;
-    std::vector<HeatEdge> heatEdges_;
-    std::vector<AirEdge> airEdges_;
+    std::vector<double> airFraction_; //!< per air edge, spec order
+    std::vector<NodeId> poweredIds_;  //!< ascending (checkpoint view)
     std::unordered_map<std::string, NodeId> byName_;
-
-    NodeId inlet_ = 0;
-    NodeId exhaust_ = 0;
     double fanCfm_ = 0.0;
 
-    /** @name Dense per-node state (indexed by NodeId) */
-    /// @{
-    std::vector<double> temperature_;  //!< degC
-    std::vector<double> heatGain_;     //!< scratch: J this substep
-    std::vector<double> massFlow_;     //!< kg/s through air vertices
-    std::vector<double> watts_;        //!< cached P(utilization)
-    std::vector<double> invCapacity_;  //!< 1/(m c) for solids, else 0
-    std::vector<double> invStagnant_;  //!< 1/capacity for stagnant air
-    std::vector<uint8_t> pinned_;      //!< bool: temperature held
-    std::vector<double> pinValue_;     //!< pinned temperature [degC]
-    /// @}
-
-    /** Powered node ids, ascending (drives heat generation). */
-    std::vector<NodeId> poweredIds_;
-
-    /** Component node ids, ascending (drives the solid update). */
-    std::vector<NodeId> solidIds_;
-
-    /** Air vertices in upstream-to-downstream order (excludes inlet). */
-    std::vector<NodeId> airOrder_;
-
-    /** @name CSR adjacency
-     * heatCsr*: heat edges incident to each node. For row i the
-     * entries are [heatOffsets_[i], heatOffsets_[i+1]); heatCsrK_ and
-     * heatCsrOther_ mirror the edge constant and the opposite
-     * endpoint so the air traversal never touches heatEdges_.
-     * airIn*: incoming air edges per node; airInWeight_ caches
-     * fraction * massFlow(from), refreshed by recomputeFlows().
-     */
-    /// @{
-    std::vector<uint32_t> heatOffsets_;
-    std::vector<uint32_t> heatCsrEdge_;  //!< index into heatEdges_
-    std::vector<uint32_t> heatCsrOther_; //!< opposite endpoint
-    std::vector<double> heatCsrK_;       //!< mirrored edge constant
-
-    std::vector<uint32_t> airInOffsets_;
-    std::vector<uint32_t> airInFrom_;  //!< upstream vertex
-    std::vector<double> airInWeight_;  //!< fraction * massFlow(from)
-    std::vector<double> flowIn_;       //!< total inflow per node [kg/s]
-    /// @}
-
-    /** @name Substep-plan cache
-     * substepsFor() depends only on the edge constants, the mass
-     * flows and dt; mutators flag it dirty instead of every step()
-     * re-deriving the stability bound.
-     */
-    /// @{
-    mutable bool planDirty_ = true;
-    mutable double planDt_ = 0.0;
-    mutable int planSubsteps_ = 1;
-    /// @}
-
-    double energyConsumed_ = 0.0;
-
-    /** @name Change tracking (quiescence + telemetry; see accessors) */
-    /// @{
-    uint64_t inputVersion_ = 0;
-    uint64_t stateVersion_ = 0;
-    /// @}
+    std::unique_ptr<MachineBatch> own_; //!< set while not in a shared batch
+    MachineBatch *batch_ = nullptr;
+    size_t lane_ = 0;
 
     /** Thermal mass [J/K] used for stagnant (zero-flow) air vertices. */
     static constexpr double kStagnantAirHeatCapacity = 60.0;

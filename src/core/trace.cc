@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/solver.hh"
@@ -165,39 +166,50 @@ TraceRunner::run(double duration_seconds)
     for (const auto &[machine, component] : recorded_)
         recorded_refs.push_back(solver_.tryResolveRef(machine, component));
 
-    std::unordered_map<std::string, std::optional<Solver::NodeRef>>
-        sample_refs;
-    auto apply = [&](const UtilizationSample &sample) {
-        std::string key = sample.machine + "." + sample.component;
-        auto it = sample_refs.find(key);
-        if (it == sample_refs.end()) {
-            it = sample_refs
-                     .emplace(std::move(key),
-                              solver_.tryResolveRef(sample.machine,
-                                                    sample.component))
-                     .first;
+    // Every sample gets its handle here, parallel to samples(). A trace
+    // repeats a few components per machine many times, so each
+    // distinct (machine, component) pair is resolved once, through a
+    // cache keyed by views of the samples' own strings.
+    const auto &samples = trace_.samples();
+    std::vector<std::optional<Solver::NodeRef>> sample_refs;
+    sample_refs.reserve(samples.size());
+    using Target =
+        std::pair<std::string_view, std::optional<Solver::NodeRef>>;
+    std::unordered_map<std::string_view, std::vector<Target>> resolved;
+    for (const UtilizationSample &sample : samples) {
+        std::vector<Target> &targets = resolved[sample.machine];
+        auto it = std::find_if(targets.begin(), targets.end(),
+                               [&](const Target &target) {
+                                   return target.first == sample.component;
+                               });
+        if (it == targets.end()) {
+            targets.emplace_back(sample.component,
+                                 solver_.tryResolveRef(sample.machine,
+                                                       sample.component));
+            it = targets.end() - 1;
         }
-        if (it->second) {
-            solver_.setUtilization(*it->second, sample.utilization);
-        } else {
-            solver_.setUtilization(sample.machine, sample.component,
-                                   sample.utilization);
-        }
-    };
+        sample_refs.push_back(it->second);
+    }
 
     // All times below are absolute emulated seconds. On a resumed
     // (checkpoint-restored) solver the first pass over the sample list
     // re-applies the pre-checkpoint prefix; the latest value per
     // component wins before the first iteration, which is exactly the
     // state the uninterrupted run has at this point.
-    const auto &samples = trace_.samples();
     size_t next = 0;
     double now = solver_.emulatedSeconds();
     while (now < end - 1e-9) {
         // Apply every sample whose timestamp has passed.
         while (next < samples.size() &&
                samples[next].time <= now + 1e-9) {
-            apply(samples[next]);
+            const UtilizationSample &sample = samples[next];
+            if (sample_refs[next]) {
+                solver_.setUtilization(*sample_refs[next],
+                                       sample.utilization);
+            } else {
+                solver_.setUtilization(sample.machine, sample.component,
+                                       sample.utilization);
+            }
             ++next;
         }
         solver_.iterate();

@@ -1,6 +1,7 @@
 #include "graphdot/writer.hh"
 
 #include <cctype>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 
@@ -47,39 +48,55 @@ kindName(core::NodeKind kind)
     return "?";
 }
 
+/**
+ * Shortest text that parses back to exactly @p value, so a written
+ * config re-reads with every constant bitwise equal. Six significant
+ * digits are not enough: a 4096-machine room's 1/4096 fractions would
+ * re-read summing to 1.000002, past validate()'s tolerance.
+ */
+std::string
+exact(double value)
+{
+    char text[32];
+    return std::string(text,
+                       std::to_chars(text, text + sizeof(text), value).ptr);
+}
+
 } // namespace
 
 void
 writeMachine(std::ostream &out, const core::MachineSpec &spec)
 {
     out << "machine " << quoteName(spec.name) << " {\n";
-    out << format("    inlet_temperature = %g;\n", spec.inletTemperature);
-    out << format("    fan_cfm = %g;\n", spec.fanCfm);
-    out << format("    initial_temperature = %g;\n",
-                  spec.initialTemperature);
+    out << "    inlet_temperature = " << exact(spec.inletTemperature)
+        << ";\n";
+    out << "    fan_cfm = " << exact(spec.fanCfm) << ";\n";
+    out << "    initial_temperature = " << exact(spec.initialTemperature)
+        << ";\n";
     out << '\n';
     for (const core::NodeSpec &node : spec.nodes) {
         out << "    node " << quoteName(node.name) << " [kind="
             << kindName(node.kind);
         if (node.kind == core::NodeKind::Component) {
-            out << format(", mass=%g, c=%g", node.mass, node.specificHeat);
+            out << ", mass=" << exact(node.mass)
+                << ", c=" << exact(node.specificHeat);
         }
         if (node.hasPower)
-            out << format(", pmin=%g, pmax=%g", node.minPower,
-                          node.maxPower);
+            out << ", pmin=" << exact(node.minPower)
+                << ", pmax=" << exact(node.maxPower);
         if (node.initialTemperature)
-            out << format(", temperature=%g", *node.initialTemperature);
+            out << ", temperature=" << exact(*node.initialTemperature);
         out << "];\n";
     }
     out << '\n';
     for (const core::HeatEdgeSpec &edge : spec.heatEdges) {
         out << "    " << quoteName(edge.a) << " -- " << quoteName(edge.b)
-            << format(" [k=%g];\n", edge.k);
+            << " [k=" << exact(edge.k) << "];\n";
     }
     out << '\n';
     for (const core::AirEdgeSpec &edge : spec.airEdges) {
         out << "    " << quoteName(edge.from) << " -> " << quoteName(edge.to)
-            << format(" [fraction=%g];\n", edge.fraction);
+            << " [fraction=" << exact(edge.fraction) << "];\n";
     }
     out << "}\n";
 }
@@ -92,7 +109,7 @@ writeRoom(std::ostream &out, const core::RoomSpec &room)
         switch (node.kind) {
           case core::RoomNodeKind::Source:
             out << "    source " << quoteName(node.name)
-                << format(" [temperature=%g];\n", node.temperature);
+                << " [temperature=" << exact(node.temperature) << "];\n";
             break;
           case core::RoomNodeKind::Sink:
             out << "    sink " << quoteName(node.name) << ";\n";
@@ -109,7 +126,7 @@ writeRoom(std::ostream &out, const core::RoomSpec &room)
     out << '\n';
     for (const core::AirEdgeSpec &edge : room.edges) {
         out << "    " << quoteName(edge.from) << " -> " << quoteName(edge.to)
-            << format(" [fraction=%g];\n", edge.fraction);
+            << " [fraction=" << exact(edge.fraction) << "];\n";
     }
     out << "}\n";
 }

@@ -1,6 +1,6 @@
 #include "util/csv.hh"
 
-#include <cstdio>
+#include <charconv>
 
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -50,14 +50,22 @@ CsvWriter::row(const std::vector<double> &values)
         MERCURY_PANIC("CsvWriter: row has ", values.size(),
                       " cells, expected ", columns_.size());
     }
-    char buf[64];
+    // std::to_chars in general format at precision 6 is printf's
+    // "%.6g" in the C locale, byte for byte, minus printf's locale and
+    // varargs work; the row goes out in one stream call.
+    rowBuffer_.clear();
+    char cell[64];
     for (size_t i = 0; i < values.size(); ++i) {
         if (i)
-            out_ << ',';
-        std::snprintf(buf, sizeof(buf), "%.6g", values[i]);
-        out_ << buf;
+            rowBuffer_ += ',';
+        char *end = std::to_chars(cell, cell + sizeof(cell), values[i],
+                                  std::chars_format::general, 6)
+                        .ptr;
+        rowBuffer_.append(cell, end);
     }
-    out_ << '\n';
+    rowBuffer_ += '\n';
+    out_.write(rowBuffer_.data(),
+               static_cast<std::streamsize>(rowBuffer_.size()));
     ++rows_;
 }
 

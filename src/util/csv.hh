@@ -38,6 +38,7 @@ class CsvWriter
     std::ostream &out_;
     std::vector<std::string> columns_;
     size_t rows_ = 0;
+    std::string rowBuffer_; //!< one formatted row, reused
 };
 
 /**

@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/solver.hh"
 #include "graphdot/parser.hh"
@@ -23,9 +27,13 @@
 #include "proto/solver_daemon.hh"
 #include "sensor/client.hh"
 #include "sensor/sensor_api.hh"
+#include "state/checkpoint.hh"
 
 #ifndef MERCURY_CONFIG_DIR
 #define MERCURY_CONFIG_DIR "configs"
+#endif
+#ifndef MERCURY_SOLVERD_BIN
+#define MERCURY_SOLVERD_BIN "mercury_solverd"
 #endif
 
 namespace mercury {
@@ -226,6 +234,82 @@ TEST(ShippedConfigs, Table1ClusterFileBuildsAWorkingSolver)
     EXPECT_GT(solver.temperature("m2", "cpu"),
               solver.temperature("m3", "cpu") + 5.0);
     EXPECT_GT(solver.room().temperature("cluster_exhaust"), 18.0);
+}
+
+TEST(DaemonE2E, SigtermAsSoonAsThePortFileAppearsIsGraceful)
+{
+    std::string tag = std::to_string(::getpid());
+    std::string port_file = "/tmp/mercury_daemon_e2e." + tag + ".port";
+    std::string checkpoint = "/tmp/mercury_daemon_e2e." + tag + ".ck";
+    std::string segment = "/mercury_daemon_e2e." + tag;
+    std::remove(port_file.c_str());
+    std::remove(checkpoint.c_str());
+    std::string config = std::string(MERCURY_CONFIG_DIR) +
+                         "/table1_cluster.dot";
+    std::vector<std::string> command = {
+        MERCURY_SOLVERD_BIN, "--config", config, "--port", "0",
+        "--port-file", port_file, "--checkpoint-path", checkpoint,
+        "--shm-name", segment, "--iteration-seconds", "0.05"};
+
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        std::vector<char *> argv;
+        for (std::string &arg : command)
+            argv.push_back(arg.data());
+        argv.push_back(nullptr);
+        ::execv(argv[0], argv.data());
+        ::_exit(127);
+    }
+
+    // Signal the moment the file exists: the daemon must already be
+    // committed to the graceful path by then.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool appeared = false;
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (::access(port_file.c_str(), F_OK) == 0) {
+            appeared = true;
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ::kill(pid, SIGTERM);
+    int status = 0;
+    pid_t reaped = 0;
+    deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (std::chrono::steady_clock::now() < deadline &&
+           (reaped = ::waitpid(pid, &status, WNOHANG)) == 0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (reaped != pid) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+    }
+    ASSERT_TRUE(appeared) << "no port file from " << MERCURY_SOLVERD_BIN;
+    ASSERT_EQ(reaped, pid) << "solverd ignored SIGTERM";
+    ASSERT_TRUE(WIFEXITED(status)) << "killed by signal "
+                                   << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+
+    // The final checkpoint was written and restores into a solver
+    // built from the same config.
+    state::Checkpoint saved;
+    std::string error;
+    ASSERT_TRUE(state::loadCheckpointFile(checkpoint, &saved, &error))
+        << error;
+    core::ConfigSpec spec = graphdot::loadConfigFile(config);
+    core::SolverConfig same_period;
+    same_period.iterationSeconds = 0.05;
+    core::Solver restored(same_period);
+    for (const core::MachineSpec &machine : spec.machines)
+        restored.addMachine(machine);
+    restored.setRoom(*spec.room);
+    EXPECT_TRUE(state::restoreSolver(restored, saved, &error)) << error;
+
+    // The telemetry segment was unlinked on the way out.
+    EXPECT_NE(::access(("/dev/shm" + segment).c_str(), F_OK), 0);
+    std::remove(port_file.c_str());
+    std::remove(checkpoint.c_str());
 }
 
 } // namespace

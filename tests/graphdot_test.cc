@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "core/thermal_graph.hh"
@@ -221,6 +223,91 @@ TEST(Writer, RoundTripsTable1Server)
     }
     ASSERT_TRUE(result.config.room.has_value());
     EXPECT_EQ(result.config.room->nodes.size(), 3u);
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+TEST(Writer, RoundTripsA4096MachineRoomBitwise)
+{
+    // Each ac -> machine fraction is 1/4096. Printed with "%g" (six
+    // digits) they re-read summing to 1.000002, which validate()
+    // rejects; every constant must instead come back bit for bit.
+    core::ConfigSpec config;
+    std::vector<std::string> names;
+    for (int i = 0; i < 4096; ++i) {
+        names.push_back("m" + std::to_string(i));
+        config.machines.push_back(core::table1Server(names.back()));
+    }
+    config.room = core::table1Room(names, 18.0);
+
+    ParseResult result = parseConfig(toText(config));
+    ASSERT_TRUE(result.ok()) << result.errors.front();
+    ASSERT_EQ(result.config.machines.size(), config.machines.size());
+    for (size_t m = 0; m < config.machines.size(); ++m) {
+        const core::MachineSpec &want = config.machines[m];
+        const core::MachineSpec &got = result.config.machines[m];
+        ASSERT_EQ(got.name, want.name);
+        EXPECT_TRUE(sameBits(got.inletTemperature, want.inletTemperature));
+        EXPECT_TRUE(sameBits(got.fanCfm, want.fanCfm));
+        EXPECT_TRUE(
+            sameBits(got.initialTemperature, want.initialTemperature));
+        ASSERT_EQ(got.nodes.size(), want.nodes.size());
+        for (size_t n = 0; n < want.nodes.size(); ++n) {
+            const core::NodeSpec &a = got.nodes[n];
+            const core::NodeSpec &b = want.nodes[n];
+            ASSERT_EQ(a.name, b.name);
+            EXPECT_EQ(a.kind, b.kind);
+            EXPECT_TRUE(sameBits(a.mass, b.mass)) << a.name;
+            EXPECT_TRUE(sameBits(a.specificHeat, b.specificHeat)) << a.name;
+            EXPECT_EQ(a.hasPower, b.hasPower);
+            EXPECT_TRUE(sameBits(a.minPower, b.minPower)) << a.name;
+            EXPECT_TRUE(sameBits(a.maxPower, b.maxPower)) << a.name;
+            ASSERT_EQ(a.initialTemperature.has_value(),
+                      b.initialTemperature.has_value());
+            if (b.initialTemperature) {
+                EXPECT_TRUE(sameBits(*a.initialTemperature,
+                                     *b.initialTemperature));
+            }
+        }
+        ASSERT_EQ(got.heatEdges.size(), want.heatEdges.size());
+        for (size_t e = 0; e < want.heatEdges.size(); ++e) {
+            EXPECT_EQ(got.heatEdges[e].a, want.heatEdges[e].a);
+            EXPECT_EQ(got.heatEdges[e].b, want.heatEdges[e].b);
+            EXPECT_TRUE(sameBits(got.heatEdges[e].k, want.heatEdges[e].k));
+        }
+        ASSERT_EQ(got.airEdges.size(), want.airEdges.size());
+        for (size_t e = 0; e < want.airEdges.size(); ++e) {
+            EXPECT_EQ(got.airEdges[e].from, want.airEdges[e].from);
+            EXPECT_EQ(got.airEdges[e].to, want.airEdges[e].to);
+            EXPECT_TRUE(sameBits(got.airEdges[e].fraction,
+                                 want.airEdges[e].fraction));
+        }
+    }
+
+    ASSERT_TRUE(result.config.room.has_value());
+    const core::RoomSpec &room = *result.config.room;
+    ASSERT_EQ(room.nodes.size(), config.room->nodes.size());
+    for (size_t n = 0; n < room.nodes.size(); ++n) {
+        const core::RoomNodeSpec &want = config.room->nodes[n];
+        EXPECT_EQ(room.nodes[n].name, want.name);
+        EXPECT_EQ(room.nodes[n].kind, want.kind);
+        EXPECT_EQ(room.nodes[n].machine, want.machine);
+        if (want.kind == core::RoomNodeKind::Source) {
+            EXPECT_TRUE(
+                sameBits(room.nodes[n].temperature, want.temperature));
+        }
+    }
+    ASSERT_EQ(room.edges.size(), config.room->edges.size());
+    for (size_t e = 0; e < room.edges.size(); ++e) {
+        const core::AirEdgeSpec &want = config.room->edges[e];
+        EXPECT_EQ(room.edges[e].from, want.from);
+        EXPECT_EQ(room.edges[e].to, want.to);
+        EXPECT_TRUE(sameBits(room.edges[e].fraction, want.fraction));
+    }
 }
 
 TEST(Writer, QuotesNamesWithSpaces)

@@ -188,6 +188,46 @@ TEST(Quiescence, TrajectoryStaysWithinTwiceEpsilonOfExact)
     }
 }
 
+TEST(Quiescence, WakingOneLaneMidBatchLeavesFrozenNeighboursUntouched)
+{
+    // One topology, so the whole fleet is one batch; the woken lane
+    // sits in its middle and must step alone.
+    std::vector<std::string> names = makeNames(24);
+    SolverConfig config;
+    config.threads = 1;
+    config.quiescenceEpsilon = 0.5;
+    config.quiescenceRefreshIterations = 0; // frozen lanes never re-step
+    Solver solver(config);
+    buildCluster(solver, names);
+
+    solver.run(2500.0);
+    ASSERT_EQ(solver.frozenMachineCount(), names.size())
+        << "fleet never quiesced";
+    ASSERT_EQ(solver.batchLanes(), std::vector<size_t>{names.size()});
+
+    std::vector<std::vector<double>> before;
+    for (const std::string &name : names)
+        before.push_back(solver.machine(name).temperatures());
+    const std::string woken = names[names.size() / 2];
+    double current = solver.utilization(solver.resolveRef(woken, "cpu"));
+    solver.setUtilization(woken, "cpu", current > 0.5 ? 0.1 : 0.9);
+    solver.iterate();
+
+    EXPECT_FALSE(solver.isFrozen(woken));
+    for (size_t i = 0; i < names.size(); ++i) {
+        std::vector<double> after = solver.machine(names[i]).temperatures();
+        ASSERT_EQ(after.size(), before[i].size());
+        bool unchanged = std::memcmp(after.data(), before[i].data(),
+                                     after.size() * sizeof(double)) == 0;
+        if (names[i] == woken) {
+            EXPECT_FALSE(unchanged) << "the woken lane did not step";
+        } else {
+            EXPECT_TRUE(solver.isFrozen(names[i])) << names[i];
+            EXPECT_TRUE(unchanged) << names[i] << " moved while frozen";
+        }
+    }
+}
+
 TEST(Quiescence, UtilizationChangeWakesAFrozenMachine)
 {
     std::vector<std::string> names = makeNames(4);

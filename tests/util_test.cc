@@ -7,9 +7,11 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/csv.hh"
@@ -291,6 +293,40 @@ TEST(Csv, WriterEmitsHeaderAndRows)
     writer.row({2.0, 22.0});
     EXPECT_EQ(out.str(), "time_s,temp_c\n1,21.5\n2,22\n");
     EXPECT_EQ(writer.rowsWritten(), 2u);
+}
+
+TEST(Csv, RowBytesEqualPrintfPercentPointSixG)
+{
+    const double values[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, // largest subnormal
+        1e-7,
+        1e21,
+        -1e21,
+        123456.5,
+        1234567.0,
+        0.000123456789,
+        21.6,
+        -40.25,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (double value : values) {
+        std::ostringstream out;
+        CsvWriter writer(out, {"a", "b"});
+        writer.row({value, 1.0});
+        char expected[64];
+        std::snprintf(expected, sizeof(expected), "%.6g,1\n", value);
+        EXPECT_EQ(out.str(), std::string("a,b\n") + expected)
+            << "value bits " << std::hex
+            << std::bit_cast<uint64_t>(value);
+    }
 }
 
 TEST(Csv, AlignedSeriesInterpolatesSecondColumn)
