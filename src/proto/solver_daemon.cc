@@ -552,13 +552,15 @@ SolverDaemon::runPrimary(LoopTimers &timers)
 
         // Sleep until the nearest pending deadline (not a fixed 50 ms
         // tick): the serve workers own the sockets, so the only things
-        // that can need this thread are timers and queued mutations —
-        // and the queue wakes us through the condition variable.
+        // that can need this thread are timers and queued requests
+        // that owe a reply — the queue wakes us for those. Utilization
+        // updates wait for whichever wake comes first and then apply
+        // together, in arrival order, before the next iteration.
         plane_->waitForWork(deadline);
         plane_->drainPending();
 
-        // One kernel write per drain batch; durability rides the
-        // checkpoint cadence (the standby is the low-latency copy).
+        // One kernel write per drain; durability rides the checkpoint
+        // cadence (the standby is the low-latency copy).
         if (wal_ && !wal_->flush()) {
             warn("solverd: WAL write to ", wal_->path(),
                  " failed; disabling the WAL");

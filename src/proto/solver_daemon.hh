@@ -162,8 +162,10 @@ class SolverDaemon
      * workers run on their own threads; this thread owns the solver:
      * it steps iterations, applies queued mutations at iteration
      * boundaries, and sleeps until the nearest pending deadline
-     * (iteration, heartbeat, stats log, metrics file) or queued work
-     * instead of polling on a fixed tick. A standby instead follows
+     * (iteration, heartbeat, stats log, metrics file) or a queued
+     * request that owes a reply, instead of polling on a fixed tick.
+     * Queued utilization updates never wake it; they apply at its
+     * next wake, before the next iteration. A standby instead follows
      * the primary's record stream until the lease expires, then
      * promotes itself and continues as primary.
      */

@@ -144,13 +144,19 @@ std::optional<core::Solver::NodeRef>
 SolverService::resolveCached(const std::string &machine,
                              const std::string &component)
 {
-    std::string key = machine + "." + component;
-    auto hit = resolved_.find(key);
-    if (hit != resolved_.end())
-        return hit->second;
+    auto hit = resolved_.find(machine);
+    if (hit != resolved_.end()) {
+        for (const auto &[name, ref] : hit->second) {
+            if (name == component)
+                return ref;
+        }
+    }
     auto ref = solver_.tryResolveRef(machine, component);
-    if (ref)
-        resolved_.emplace(std::move(key), *ref);
+    if (ref) {
+        if (hit == resolved_.end())
+            hit = resolved_.try_emplace(machine).first;
+        hit->second.emplace_back(component, *ref);
+    }
     return ref;
 }
 

@@ -31,6 +31,8 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/solver.hh"
 #include "metrics/metrics.hh"
@@ -309,8 +311,13 @@ class SolverService
 
     core::Solver &solver_;
 
-    /** Positive resolution cache, keyed machine + '.' + component. */
-    std::unordered_map<std::string, core::Solver::NodeRef> resolved_;
+    /** Positive resolution cache: per machine, the components already
+     *  resolved. A lookup hashes the machine name and scans its few
+     *  components, so a hit builds no key string. */
+    std::unordered_map<
+        std::string,
+        std::vector<std::pair<std::string, core::Solver::NodeRef>>>
+        resolved_;
 
     /** Unmapped update targets already warned about. A machine whose
      *  graph has no NIC node, say, produces a "net" update every

@@ -4,7 +4,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +11,7 @@
 #include "core/solver.hh"
 #include "core/thermal_graph.hh"
 #include "state/checkpoint.hh"
+#include "util/crc32c.hh"
 #include "util/logging.hh"
 
 namespace mercury {
@@ -74,67 +74,7 @@ getU64(const uint8_t *p)
     return v;
 }
 
-/** Software CRC-32C, byte-at-a-time over a lazily built table. Only
- *  runs on CPUs without SSE4.2. */
-uint32_t
-crc32cSoft(const uint8_t *data, size_t size)
-{
-    static const auto table = [] {
-        std::array<uint32_t, 256> t{};
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t crc = i;
-            for (int b = 0; b < 8; ++b)
-                crc = (crc >> 1) ^ (0x82f63b78u & (0u - (crc & 1)));
-            t[i] = crc;
-        }
-        return t;
-    }();
-    uint32_t crc = 0xffffffffu;
-    for (size_t i = 0; i < size; ++i)
-        crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
-}
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-
-__attribute__((target("sse4.2"))) uint32_t
-crc32cHw(const uint8_t *data, size_t size)
-{
-    uint64_t crc = 0xffffffffu;
-    while (size >= 8) {
-        crc = __builtin_ia32_crc32di(crc, getU64(data));
-        data += 8;
-        size -= 8;
-    }
-    uint32_t crc32 = static_cast<uint32_t>(crc);
-    while (size > 0) {
-        crc32 = __builtin_ia32_crc32qi(crc32, *data);
-        ++data;
-        --size;
-    }
-    return crc32 ^ 0xffffffffu;
-}
-
-bool
-haveSse42()
-{
-    static const bool have = __builtin_cpu_supports("sse4.2");
-    return have;
-}
-
-#endif
-
 } // namespace
-
-uint32_t
-crc32c(const uint8_t *data, size_t size)
-{
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    if (haveSse42())
-        return crc32cHw(data, size);
-#endif
-    return crc32cSoft(data, size);
-}
 
 void
 appendRecordBytes(std::vector<uint8_t> &out, const WalRecord &record)

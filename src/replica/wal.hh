@@ -95,13 +95,6 @@ struct WalHeader
     uint64_t startSequence = 1;  //!< sequence of the first record
 };
 
-/**
- * CRC-32C (Castagnoli). Hardware SSE4.2 path when the CPU has it —
- * the WAL append sits inside the solver's iteration budget, so the
- * checksum must be cycles, not a table walk per byte.
- */
-uint32_t crc32c(const uint8_t *data, size_t size);
-
 /** Serialize one record (including its CRC) onto @p out. */
 void appendRecordBytes(std::vector<uint8_t> &out, const WalRecord &record);
 

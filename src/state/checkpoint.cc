@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "core/solver.hh"
+#include "util/crc32c.hh"
 #include "util/logging.hh"
 
 namespace mercury {
@@ -238,26 +239,6 @@ setError(std::string *error, std::string message)
 }
 
 } // namespace
-
-uint32_t
-crc32(const uint8_t *data, size_t size)
-{
-    // Reflected CRC-32 (IEEE 802.3), nibble-at-a-time: small table,
-    // no init-order concerns.
-    static const uint32_t kTable[16] = {
-        0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac,
-        0x76dc4190, 0x6b6b51f4, 0x4db26158, 0x5005713c,
-        0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c,
-        0x9b64c2b0, 0x86d3d2d4, 0xa00ae278, 0xbdbdf21c,
-    };
-    uint32_t crc = 0xffffffff;
-    for (size_t i = 0; i < size; ++i) {
-        crc ^= data[i];
-        crc = kTable[crc & 0x0f] ^ (crc >> 4);
-        crc = kTable[crc & 0x0f] ^ (crc >> 4);
-    }
-    return crc ^ 0xffffffff;
-}
 
 uint64_t
 topologyHash(const core::Solver &solver)
@@ -561,7 +542,7 @@ encodeCheckpoint(const Checkpoint &checkpoint)
     file.u32(kCheckpointMagic);
     file.u32(kCheckpointVersion);
     file.u64(body.size());
-    file.u32(crc32(body.data(), body.size()));
+    file.u32(crc32c(body.data(), body.size()));
     file.u32(0); // reserved
     std::vector<uint8_t> out = file.take();
     out.insert(out.end(), body.begin(), body.end());
@@ -598,7 +579,7 @@ decodeCheckpoint(const uint8_t *data, size_t size, Checkpoint *out,
         return false;
     }
     const uint8_t *body = data + kHeaderBytes;
-    if (crc32(body, payload_length) != crc) {
+    if (crc32c(body, payload_length) != crc) {
         setError(error, "CRC mismatch");
         return false;
     }

@@ -41,8 +41,10 @@ namespace state {
 /** Checkpoint file magic ("MCK1", little-endian on disk). */
 constexpr uint32_t kCheckpointMagic = 0x314b434d;
 
-/** Bump when the payload layout changes incompatibly. */
-constexpr uint32_t kCheckpointVersion = 1;
+/** Bump when the payload layout or its checksum changes
+ *  incompatibly. 2: the header CRC is CRC-32C (util/crc32c), the
+ *  WAL's checksum. A file of any other version cold-starts. */
+constexpr uint32_t kCheckpointVersion = 2;
 
 /**
  * One sender's sequence-accounting snapshot, mirrored from the
@@ -131,9 +133,6 @@ bool restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
 
 /** @name Binary codec */
 /// @{
-
-/** CRC-32 (IEEE 802.3, reflected) of @p size bytes. */
-uint32_t crc32(const uint8_t *data, size_t size);
 
 /** Serialize to the versioned on-disk payload (header included). */
 std::vector<uint8_t> encodeCheckpoint(const Checkpoint &checkpoint);

@@ -262,9 +262,12 @@ TEST(Metrics, SnapshotRpcRoundTrip)
     // reassemble exactly through SensorClient::metricsText().
     core::Solver solver;
     solver.addMachine(core::table1Server("machine1"));
+    // Declared before the service: the service's guard unregisters
+    // from the registry when it is destroyed, so the registry must
+    // outlive it.
+    Registry registry;
     proto::SolverService service(solver);
 
-    Registry registry;
     for (int i = 0; i < 40; ++i) {
         registry.counter("pagination_counter_" + std::to_string(i))
             ->inc(i);
@@ -286,8 +289,8 @@ TEST(Metrics, SnapshotRpcIncludesServiceCounters)
     // counters into the registry it is handed.
     core::Solver solver;
     solver.addMachine(core::table1Server("machine1"));
-    proto::SolverService service(solver);
     Registry registry;
+    proto::SolverService service(solver);
     service.setMetricsRegistry(&registry);
 
     sensor::SensorClient client(
@@ -304,8 +307,8 @@ TEST(Metrics, FiddleMetricsCommandAnswers)
 {
     core::Solver solver;
     solver.addMachine(core::table1Server("machine1"));
-    proto::SolverService service(solver);
     Registry registry;
+    proto::SolverService service(solver);
     service.setMetricsRegistry(&registry);
 
     sensor::SensorClient client(

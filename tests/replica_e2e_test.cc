@@ -455,8 +455,13 @@ TEST(ReplicaE2E, SupervisordHaPairFlipsThePortFileOnFailover)
         std::make_unique<sensor::UdpTransport>("127.0.0.1", standby_port,
                                                0.1, 1),
         "server");
+    // Wait for the standby to attach, not just to answer: one that
+    // never reached its primary refuses to promote by design, and the
+    // primary may bind its replication port after the standby's first
+    // hello (the next one goes out 0.5 s later).
     std::string replica_line;
-    ASSERT_TRUE(waitForReplicaLine(standby_probe, "role=standby", 10.0,
+    ASSERT_TRUE(waitForReplicaLine(standby_probe,
+                                   "role=standby state=attached", 10.0,
                                    &replica_line))
         << replica_line;
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the util substrate: strings, stats, CSV, RNG, flags.
+ * Unit tests for the util substrate: strings, stats, CSV, RNG, flags,
+ * CRC-32C.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
+#include "util/crc32c.hh"
 #include "util/csv.hh"
 #include "util/fileio.hh"
 #include "util/flags.hh"
@@ -465,6 +468,32 @@ TEST(Flags, HelpReturnsFalse)
     flags.defineInt("n", 1, "num");
     const char *argv[] = {"prog", "--help"};
     EXPECT_FALSE(flags.parse(2, argv));
+}
+
+TEST(Crc32c, KnownAnswer)
+{
+    // The CRC-32C check value (RFC 3720 / iSCSI, "123456789").
+    const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+    EXPECT_EQ(crc32c(digits, sizeof(digits)), 0xE3069283u);
+    EXPECT_EQ(crc32cSoftware(digits, sizeof(digits)), 0xE3069283u);
+    EXPECT_EQ(crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32c, HardwareAndSoftwarePathsAgreeOnEveryLength)
+{
+    // Every length 0..257 covers the 8-byte word loop, every tail
+    // length, and both at unaligned starts (offset 1).
+    std::vector<uint8_t> bytes(1 + 257); // largest offset + length
+    Rng rng(7);
+    for (uint8_t &byte : bytes)
+        byte = static_cast<uint8_t>(rng.uniformInt(0, 255));
+    for (size_t offset : {size_t{0}, size_t{1}}) {
+        for (size_t length = 0; length <= 257; ++length) {
+            const uint8_t *data = bytes.data() + offset;
+            EXPECT_EQ(crc32c(data, length), crc32cSoftware(data, length))
+                << "offset " << offset << " length " << length;
+        }
+    }
 }
 
 } // namespace
