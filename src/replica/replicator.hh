@@ -5,8 +5,10 @@
  * Lives entirely on the solver thread (like the WAL itself): the
  * daemon offers each record as it appends it and calls poll() once per
  * loop pass, which drains the replication socket without blocking,
- * answers standby hellos, ships new records, go-back-N retransmits
- * past the cumulative ack on a short timer, and heartbeats the lease.
+ * answers standby hellos, ships every record offered since the
+ * previous pass, go-back-N retransmits past the cumulative ack on a
+ * short timer, and heartbeats the lease. Only catch-up (a rewind, a
+ * rejoining standby) is rationed per pass.
  * The sliding-window scheme is the monitord sender window inverted:
  * the primary keeps a bounded in-memory ring of recent records, and a
  * standby that falls further behind than the ring must re-seed from a
@@ -55,7 +57,8 @@ class Replicator
         uint32_t hashIterations = 32;
 
         /** Records retained for retransmission. A standby further
-         *  behind than this must re-seed from a checkpoint. */
+         *  behind than this must re-seed from a checkpoint, so it
+         *  also bounds what one loop pass may offer. */
         size_t retainRecords = 8192;
 
         /** Go-back-N retransmit timer: resend past the cumulative ack
@@ -120,6 +123,9 @@ class Replicator
         uint64_t sentSeq = 0;
         uint64_t standbyIteration = 0;
         Clock::time_point lastAckTime;
+        /** Retransmit timer start: the last ack that moved ackedSeq,
+         *  or the send that left records outstanding again. */
+        Clock::time_point lastProgressTime;
         Clock::time_point lastSendTime;
         Clock::time_point lastHeartbeatTime;
         Clock::time_point lastRetransmitTime;
@@ -131,8 +137,10 @@ class Replicator
 
     void handleHello(const ReplicaHello &msg, const net::Endpoint &from);
     void handleAck(const ReplicaAck &msg, const net::Endpoint &from);
-    void pumpSession(Session &session, uint64_t primary_iteration);
-    void sendRecords(Session &session, uint64_t primary_iteration);
+    void pumpSession(Session &session, uint64_t primary_iteration,
+                     size_t budget);
+    void sendRecords(Session &session, uint64_t primary_iteration,
+                     size_t budget);
 
     Config config_;
     uint64_t topologyHash_;
@@ -144,6 +152,8 @@ class Replicator
     std::deque<WalRecord> ring_;
     uint64_t ringStartSeq_ = 1;
     uint64_t nextSeq_ = 1;
+    /** nextSeq_ as of the previous poll(). */
+    uint64_t polledSeq_ = 1;
 
     /** Current WAL generation (fresh standbys seed here). */
     uint64_t baseIteration_ = 0;

@@ -13,9 +13,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/solver.hh"
+#include "net/udp.hh"
 #include "proto/solver_service.hh"
 #include "proto/wal_codec.hh"
 #include "replica/replicator.hh"
@@ -664,6 +666,142 @@ TEST(ReplicaLoopback, StreamsAcksAndVerifiesHashes)
     EXPECT_GE(primary.hashChecks(), 1u);
     EXPECT_EQ(primary.hashMismatches(), 0u);
     EXPECT_EQ(primary.lastHashVerdict(), 1);
+}
+
+/** The daemon offers a whole drain of records at once and polls once
+ *  per drain. One poll must ship all of them, however many that is, or
+ *  the standby falls further behind every drain. */
+TEST(ReplicaLoopback, OnePollShipsEverythingOfferedSinceTheLast)
+{
+    replica::Replicator::Config primary_config;
+    primary_config.heartbeatSeconds = 0.05;
+    primary_config.leaseSeconds = 5.0;
+    // No go-back-N rewind in this test: everything must go first time.
+    primary_config.retransmitSeconds = 30.0;
+    replica::Replicator primary(primary_config, 7, 0, 1);
+
+    replica::StandbyClient::Config standby_config;
+    standby_config.host = "127.0.0.1";
+    standby_config.port = primary.port();
+    standby_config.topologyHash = 7;
+    standby_config.helloSeconds = 0.05;
+    standby_config.ackSeconds = 0.0;
+    standby_config.leaseSeconds = 5.0;
+    standby_config.localIteration = [] { return uint64_t(0); };
+    replica::StandbyClient standby(standby_config);
+    for (int i = 0; i < 60 && !standby.attached(); ++i) {
+        standby.pump(0.01);
+        primary.poll(0);
+    }
+    ASSERT_TRUE(standby.attached()) << standby.status();
+
+    // Well past the per-pass catch-up cap of 512 records.
+    constexpr uint64_t kRecords = 1200;
+    for (uint64_t seq = 1; seq <= kRecords; ++seq) {
+        replica::WalRecord record;
+        record.sequence = seq;
+        record.iteration = 1;
+        record.payload.assign(16, uint8_t(seq));
+        primary.offer(record);
+    }
+    primary.poll(1);
+    EXPECT_EQ(primary.recordsSent(), kRecords);
+
+    // The standby receives every record without another primary poll.
+    uint64_t applied = 0;
+    for (int round = 0; round < 100 && applied < kRecords; ++round) {
+        standby.pump(0.01);
+        while (const replica::WalRecord *record =
+                   standby.nextApplicable()) {
+            EXPECT_EQ(record->sequence, applied + 1);
+            standby.markApplied();
+            ++applied;
+        }
+    }
+    ASSERT_EQ(applied, kRecords);
+
+    standby.maybeAck();
+    for (int round = 0; round < 50 && primary.ackedSeq() < kRecords;
+         ++round) {
+        primary.poll(1);
+        if (primary.ackedSeq() < kRecords)
+            usleep(1000);
+    }
+    EXPECT_EQ(primary.ackedSeq(), kRecords);
+    EXPECT_EQ(primary.recordsSent(), kRecords);
+    EXPECT_EQ(primary.retransmits(), 0u);
+}
+
+/** A standby acks on a timer even while a lost datagram leaves a gap.
+ *  Those acks must not hold off the go-back-N retransmit, or the gap
+ *  never fills. The standby here is a bare socket that drops the first
+ *  Records datagram and keeps acking sequence 0. */
+TEST(ReplicaLoopback, AcksWithoutProgressDoNotHoldOffTheRetransmit)
+{
+    replica::Replicator::Config primary_config;
+    primary_config.heartbeatSeconds = 0.05;
+    primary_config.leaseSeconds = 5.0;
+    primary_config.retransmitSeconds = 0.05;
+    replica::Replicator primary(primary_config, 7, 0, 1);
+
+    net::UdpSocket standby;
+    standby.bind(0);
+    net::Endpoint to{*net::resolveHost("127.0.0.1"), primary.port()};
+    auto send = [&](const std::vector<uint8_t> &bytes) {
+        ASSERT_TRUE(standby.sendTo(to, bytes.data(), bytes.size()));
+    };
+    // Drains the socket, waiting up to @p wait for the first datagram;
+    // returns the sequences of the records received.
+    auto receive = [&](double wait) {
+        std::vector<uint64_t> sequences;
+        uint8_t buffer[replica::kReplicaDatagramMax];
+        net::Endpoint from;
+        while (auto length = standby.recvFrom(buffer, sizeof(buffer),
+                                              &from, wait)) {
+            wait = 0.0;
+            auto message = replica::decodeReplica(buffer, *length);
+            if (!message)
+                continue;
+            if (const auto *records =
+                    std::get_if<replica::ReplicaRecords>(&*message)) {
+                for (const replica::WalRecord &record : records->records)
+                    sequences.push_back(record.sequence);
+            }
+        }
+        return sequences;
+    };
+
+    replica::ReplicaHello hello;
+    hello.topologyHash = 7;
+    send(replica::encodeReplica(hello));
+    for (int i = 0; i < 500 && primary.standbyCount() == 0; ++i) {
+        primary.poll(0);
+        usleep(1000);
+    }
+    ASSERT_EQ(primary.standbyCount(), 1u);
+
+    for (uint64_t seq = 1; seq <= 10; ++seq) {
+        replica::WalRecord record;
+        record.sequence = seq;
+        record.iteration = 1;
+        record.payload.assign(8, uint8_t(seq));
+        primary.offer(record);
+    }
+    primary.poll(1);
+    ASSERT_FALSE(receive(1.0).empty()); // "lost"
+
+    // Ack sequence 0 every 10 ms, well inside the retransmit period.
+    std::vector<uint64_t> resent;
+    replica::ReplicaAck ack;
+    for (int i = 0; i < 100 && resent.empty(); ++i) {
+        send(replica::encodeReplica(ack));
+        usleep(10000);
+        primary.poll(1);
+        resent = receive(0.0);
+    }
+    ASSERT_FALSE(resent.empty());
+    EXPECT_EQ(resent.front(), 1u);
+    EXPECT_GE(primary.retransmits(), 1u);
 }
 
 TEST(ReplicaLoopback, InactivePrimaryAndTopologyMismatchRefuse)
