@@ -117,15 +117,8 @@ main(int argc, char **argv)
     if (flags.positional().size() == 1 &&
         flags.positional()[0] == "metrics") {
         auto text = client.metricsText();
-        if (!text) {
-            // Old daemons drop the unknown message type; the fiddle
-            // command path at least returns their stats line.
-            auto [ok, message] = client.fiddle("metrics");
-            if (!ok)
-                fatal("no metrics reply from the solver: ", message);
-            std::cout << message << '\n';
-            return 0;
-        }
+        if (!text)
+            fatal("no metrics reply from the solver");
         std::cout << *text;
         return 0;
     }

@@ -113,9 +113,6 @@ main(int argc, char **argv)
     flags.defineBool("dvfs", false, "enable per-CPU DVFS governors");
     flags.defineBool("variable-fans", false,
                      "enable temperature-driven fans");
-    flags.defineBool("no-batched-reads", false,
-                     "tempd polls one component per request instead of "
-                     "one batched request per wake-up");
     flags.defineDouble("record-period", 10.0, "series sample period [s]");
     flags.defineBool("summary-only", false, "suppress the CSV series");
     flags.defineString("metrics-path", "",
@@ -139,7 +136,6 @@ main(int argc, char **argv)
     config.recordPeriod = flags.getDouble("record-period");
     config.enableDvfs = flags.getBool("dvfs");
     config.enableVariableFans = flags.getBool("variable-fans");
-    config.batchedReads = !flags.getBool("no-batched-reads");
     if (flags.getBool("paper-emergencies"))
         config.addPaperEmergencies();
     if (!flags.getString("emergency").empty()) {

@@ -70,9 +70,6 @@ main(int argc, char **argv)
     flags.defineString("solver-host", "127.0.0.1", "solver host");
     flags.defineInt("solver-port", 8367, "solver UDP port");
     flags.defineDouble("period", 1.0, "seconds between updates");
-    flags.defineBool("no-batched-updates", false,
-                     "send one datagram per sendto() instead of "
-                     "batching each tick through sendmmsg");
     flags.defineString("source", "proc",
                        "utilization source: proc | trace");
     flags.defineString("trace", "", "trace file for --source trace");
@@ -135,13 +132,10 @@ main(int argc, char **argv)
 
     auto socket = std::make_shared<net::UdpSocket>();
     // Batch each tick's updates (and outage replays) into sendmmsg
-    // calls; --no-batched-updates falls back to one sendto() each.
+    // calls.
     auto batcher =
         std::make_shared<monitor::UpdateBatcher>(socket, solver);
-    bool batching = !flags.getBool("no-batched-updates");
-    monitor::Monitord::Sink sink =
-        batching ? batcher->sink()
-                 : monitor::Monitord::udpSink(socket, solver);
+    monitor::Monitord::Sink sink = batcher->sink();
 
     // --record: tee every sample into a trace file so a live machine's
     // behaviour can be replayed offline later (mercury_trace).

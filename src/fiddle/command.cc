@@ -8,14 +8,6 @@ namespace fiddle {
 
 namespace {
 
-/** Set @p error when non-null. */
-void
-setError(std::string *error, const std::string &message)
-{
-    if (error)
-        *error = message;
-}
-
 FiddleResult
 fail(const std::string &message)
 {

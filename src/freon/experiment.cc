@@ -135,18 +135,15 @@ runExperiment(const ExperimentConfig &config)
                 controller.onReport(report);
             },
             util));
-        if (config.batchedReads) {
-            tempds.back()->setBatchedRead(
-                [client,
-                 fault](const std::vector<std::string> &components) {
-                    std::vector<std::optional<double>> values =
-                        client->readMany(components);
-                    for (size_t i = 0;
-                         i < components.size() && i < values.size(); ++i)
-                        values[i] = fault(components[i], values[i]);
-                    return values;
-                });
-        }
+        tempds.back()->setBatchedRead(
+            [client, fault](const std::vector<std::string> &components) {
+                std::vector<std::optional<double>> values =
+                    client->readMany(components);
+                for (size_t i = 0;
+                     i < components.size() && i < values.size(); ++i)
+                    values[i] = fault(components[i], values[i]);
+                return values;
+            });
         if (guard)
             tempds.back()->setGuard(guard.get());
         tempds.back()->start();

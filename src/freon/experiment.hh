@@ -65,11 +65,6 @@ struct ExperimentConfig
     /** Freon-EC floor on active servers. */
     int minActiveServers = 1;
 
-    /** Poll each tempd's sensors with one batched request per wake-up
-     *  (false = one round trip per component, the pre-batching
-     *  behavior). */
-    bool batchedReads = true;
-
     /** Recording period for the output series [s]. */
     double recordPeriod = 10.0;
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/fileio.hh"
 #include "util/logging.hh"
 
 namespace mercury {
@@ -398,18 +399,9 @@ CallbackGuard::release()
 bool
 writeTextFile(const Registry &registry, const std::string &path)
 {
-    std::string text = registry.renderProm();
-    std::string tmp = path + ".tmp";
-    std::FILE *fp = std::fopen(tmp.c_str(), "w");
-    if (!fp) {
-        warn("metrics: cannot open ", tmp);
-        return false;
-    }
-    bool ok = std::fwrite(text.data(), 1, text.size(), fp) == text.size();
-    ok = std::fclose(fp) == 0 && ok;
-    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        warn("metrics: cannot write ", path);
-        std::remove(tmp.c_str());
+    std::string error;
+    if (!atomicWriteFile(path, registry.renderProm(), &error)) {
+        warn("metrics: cannot write ", path, ": ", error);
         return false;
     }
     return true;

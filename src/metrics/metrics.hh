@@ -232,8 +232,10 @@ class CallbackGuard
 };
 
 /**
- * Write renderProm() to @p path atomically (tmp file in the same
- * directory + rename). Returns false (with a warn) on I/O failure.
+ * Write renderProm() to @p path through atomicWriteFile (util/fileio):
+ * tmp file in the same directory, fsync, rename. Callers write it at
+ * most once per --metrics-seconds and at exit. Returns false (with a
+ * warn) on I/O failure.
  */
 bool writeTextFile(const Registry &registry, const std::string &path);
 

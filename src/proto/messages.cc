@@ -1,8 +1,6 @@
 #include "proto/messages.hh"
 
-#include <bit>
-#include <cstring>
-
+#include "util/bytes.hh"
 #include "util/logging.hh"
 
 namespace mercury {
@@ -17,173 +15,63 @@ constexpr size_t kMetricsFragmentWidth =
     kMessageSize - 8 - 4 - 1 - 4; // 111 (110 content bytes + NUL pad)
 static_assert(kMetricsFragmentMax == kMetricsFragmentWidth - 1);
 
-/** Little-endian primitive writers/readers over a Packet. */
-class Writer
-{
-  public:
-    explicit Writer(Packet &packet) : packet_(packet)
-    {
-        packet_.fill(0);
-    }
-
-    void
-    u8(uint8_t value)
-    {
-        check(1);
-        packet_[pos_++] = value;
-    }
-
-    void
-    u16(uint16_t value)
-    {
-        check(2);
-        packet_[pos_++] = static_cast<uint8_t>(value);
-        packet_[pos_++] = static_cast<uint8_t>(value >> 8);
-    }
-
-    void
-    u32(uint32_t value)
-    {
-        u16(static_cast<uint16_t>(value));
-        u16(static_cast<uint16_t>(value >> 16));
-    }
-
-    void
-    u64(uint64_t value)
-    {
-        u32(static_cast<uint32_t>(value));
-        u32(static_cast<uint32_t>(value >> 32));
-    }
-
-    void
-    f64(double value)
-    {
-        u64(std::bit_cast<uint64_t>(value));
-    }
-
-    /** NUL-padded fixed-width string field; fatal when too long. */
-    void
-    fixedString(const std::string &value, size_t width,
-                const char *field)
-    {
-        if (value.size() >= width) {
-            fatal("proto: field '", field, "' too long (",
-                  value.size(), " >= ", width, " bytes): ", value);
-        }
-        check(width);
-        std::memcpy(packet_.data() + pos_, value.data(), value.size());
-        pos_ += width;
-    }
-
-    /** Length-prefixed string (u8 length + bytes); fatal when too
-     *  long for a wire name or the remaining packet. */
-    void
-    packedString(const std::string &value, const char *field)
-    {
-        if (value.empty() || value.size() >= kNameWidth) {
-            fatal("proto: packed field '", field, "' bad length ",
-                  value.size(), ": ", value);
-        }
-        u8(static_cast<uint8_t>(value.size()));
-        check(value.size());
-        std::memcpy(packet_.data() + pos_, value.data(), value.size());
-        pos_ += value.size();
-    }
-
-  private:
-    void
-    check(size_t need)
-    {
-        if (pos_ + need > kMessageSize)
-            MERCURY_PANIC("proto: packet overflow at offset ", pos_);
-    }
-
-    Packet &packet_;
-    size_t pos_ = 0;
-};
-
-class Reader
-{
-  public:
-    explicit Reader(const Packet &packet) : packet_(packet) {}
-
-    uint8_t
-    u8()
-    {
-        return packet_[pos_++];
-    }
-
-    uint16_t
-    u16()
-    {
-        uint16_t lo = u8();
-        uint16_t hi = u8();
-        return static_cast<uint16_t>(lo | (hi << 8));
-    }
-
-    uint32_t
-    u32()
-    {
-        uint32_t lo = u16();
-        uint32_t hi = u16();
-        return lo | (hi << 16);
-    }
-
-    uint64_t
-    u64()
-    {
-        uint64_t lo = u32();
-        uint64_t hi = u32();
-        return lo | (hi << 32);
-    }
-
-    double
-    f64()
-    {
-        return std::bit_cast<double>(u64());
-    }
-
-    std::string
-    fixedString(size_t width)
-    {
-        size_t len = 0;
-        while (len < width && packet_[pos_ + len] != 0)
-            ++len;
-        std::string out(reinterpret_cast<const char *>(packet_.data() +
-                                                       pos_),
-                        len);
-        pos_ += width;
-        return out;
-    }
-
-    /** Length-prefixed string; nullopt on a hostile length byte. */
-    std::optional<std::string>
-    packedString()
-    {
-        if (pos_ + 1 > kMessageSize)
-            return std::nullopt;
-        size_t len = u8();
-        if (len == 0 || len >= kNameWidth || pos_ + len > kMessageSize)
-            return std::nullopt;
-        std::string out(reinterpret_cast<const char *>(packet_.data() +
-                                                       pos_),
-                        len);
-        pos_ += len;
-        return out;
-    }
-
-  private:
-    const Packet &packet_;
-    size_t pos_ = 0;
-};
-
+/** NUL-padded fixed-width string field; fatal when too long. */
 void
-writeHeader(Writer &writer, MessageType type)
+fixedString(ByteWriter &writer, const std::string &value, size_t width,
+            const char *field)
 {
+    if (value.size() >= width) {
+        fatal("proto: field '", field, "' too long (", value.size(),
+              " >= ", width, " bytes): ", value);
+    }
+    writer.bytes(value.data(), value.size());
+    writer.zeros(width - value.size());
+}
+
+/** A zeroed packet with the 8-byte header written. */
+ByteWriter
+startPacket(Packet &packet, MessageType type)
+{
+    packet.fill(0);
+    ByteWriter writer(packet.data(), packet.size());
     writer.u32(kMagic);
     writer.u8(kVersion);
     writer.u8(static_cast<uint8_t>(type));
     writer.u16(0); // reserved
+    return writer;
+}
+
+/** A status byte; an unknown value fails the read. */
+Status
+readStatus(ByteReader &reader)
+{
+    uint8_t status = reader.u8();
+    if (status > static_cast<uint8_t>(Status::InternalError))
+        reader.fail("bad status");
+    return static_cast<Status>(status);
+}
+
+/** Validate the header; the message type on success. */
+std::optional<MessageType>
+readHeader(ByteReader &reader)
+{
+    uint32_t magic = reader.u32();
+    uint8_t version = reader.u8();
+    uint8_t type = reader.u8();
+    reader.u16(); // reserved
+    if (!reader.ok() || magic != kMagic || version != kVersion)
+        return std::nullopt;
+    return static_cast<MessageType>(type);
+}
+
+/** @p msg, unless a read behind it failed. */
+template <typename M>
+std::optional<Message>
+whole(const ByteReader &reader, M &&msg)
+{
+    if (!reader.ok())
+        return std::nullopt;
+    return std::optional<Message>(std::in_place, std::forward<M>(msg));
 }
 
 } // namespace
@@ -205,10 +93,9 @@ Packet
 encode(const UtilizationUpdate &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::UtilizationUpdate);
-    writer.fixedString(msg.machine, kNameWidth, "machine");
-    writer.fixedString(msg.component, kNameWidth, "component");
+    ByteWriter writer = startPacket(packet, MessageType::UtilizationUpdate);
+    fixedString(writer, msg.machine, kNameWidth, "machine");
+    fixedString(writer, msg.component, kNameWidth, "component");
     writer.f64(msg.utilization);
     writer.u64(msg.sequence);
     writer.u32(msg.backlog);
@@ -220,11 +107,10 @@ Packet
 encode(const SensorRequest &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::SensorRequest);
+    ByteWriter writer = startPacket(packet, MessageType::SensorRequest);
     writer.u32(msg.requestId);
-    writer.fixedString(msg.machine, kNameWidth, "machine");
-    writer.fixedString(msg.component, kNameWidth, "component");
+    fixedString(writer, msg.machine, kNameWidth, "machine");
+    fixedString(writer, msg.component, kNameWidth, "component");
     return packet;
 }
 
@@ -232,8 +118,7 @@ Packet
 encode(const SensorReply &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::SensorReply);
+    ByteWriter writer = startPacket(packet, MessageType::SensorReply);
     writer.u32(msg.requestId);
     writer.u8(static_cast<uint8_t>(msg.status));
     writer.u8(0);
@@ -246,10 +131,9 @@ Packet
 encode(const FiddleRequest &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::FiddleRequest);
+    ByteWriter writer = startPacket(packet, MessageType::FiddleRequest);
     writer.u32(msg.requestId);
-    writer.fixedString(msg.commandLine, kFiddleRequestWidth, "command");
+    fixedString(writer, msg.commandLine, kFiddleRequestWidth, "command");
     return packet;
 }
 
@@ -257,11 +141,10 @@ Packet
 encode(const FiddleReply &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::FiddleReply);
+    ByteWriter writer = startPacket(packet, MessageType::FiddleReply);
     writer.u32(msg.requestId);
     writer.u8(static_cast<uint8_t>(msg.status));
-    writer.fixedString(msg.message, kFiddleReplyWidth, "message");
+    fixedString(writer, msg.message, kFiddleReplyWidth, "message");
     return packet;
 }
 
@@ -288,13 +171,12 @@ encode(const MultiReadRequest &msg)
               " components does not fit one datagram");
     }
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::MultiReadRequest);
+    ByteWriter writer = startPacket(packet, MessageType::MultiReadRequest);
     writer.u32(msg.requestId);
-    writer.fixedString(msg.machine, kNameWidth, "machine");
+    fixedString(writer, msg.machine, kNameWidth, "machine");
     writer.u8(static_cast<uint8_t>(msg.components.size()));
     for (const std::string &component : msg.components)
-        writer.packedString(component, "component");
+        writer.string8(component); // multiReadFits checked each length
     return packet;
 }
 
@@ -306,8 +188,7 @@ encode(const MultiReadReply &msg)
               " entries does not fit one datagram");
     }
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::MultiReadReply);
+    ByteWriter writer = startPacket(packet, MessageType::MultiReadReply);
     writer.u32(msg.requestId);
     writer.u8(static_cast<uint8_t>(msg.status));
     writer.u8(static_cast<uint8_t>(msg.entries.size()));
@@ -322,8 +203,7 @@ Packet
 encode(const MetricsRequest &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::MetricsRequest);
+    ByteWriter writer = startPacket(packet, MessageType::MetricsRequest);
     writer.u32(msg.requestId);
     writer.u32(msg.offset);
     return packet;
@@ -333,27 +213,32 @@ Packet
 encode(const MetricsReply &msg)
 {
     Packet packet;
-    Writer writer(packet);
-    writeHeader(writer, MessageType::MetricsReply);
+    ByteWriter writer = startPacket(packet, MessageType::MetricsReply);
     writer.u32(msg.requestId);
     writer.u8(static_cast<uint8_t>(msg.status));
     writer.u32(msg.nextOffset);
-    writer.fixedString(msg.fragment, kMetricsFragmentWidth, "fragment");
+    fixedString(writer, msg.fragment, kMetricsFragmentWidth, "fragment");
     return packet;
 }
 
 std::optional<Message>
 decode(const Packet &packet)
 {
-    Reader reader(packet);
-    if (reader.u32() != kMagic)
-        return std::nullopt;
-    if (reader.u8() != kVersion)
-        return std::nullopt;
-    uint8_t type = reader.u8();
-    reader.u16(); // reserved
+    return decode(packet.data(), packet.size());
+}
 
-    switch (static_cast<MessageType>(type)) {
+std::optional<Message>
+decode(const uint8_t *data, size_t length)
+{
+    if (length != kMessageSize)
+        return std::nullopt;
+    ByteReader reader(data, length);
+    std::optional<MessageType> type = readHeader(reader);
+    if (!type)
+        return std::nullopt;
+    // Every field reads through the bounds- and finiteness-checked
+    // reader; a message decodes only when all of them did.
+    switch (*type) {
       case MessageType::UtilizationUpdate: {
         UtilizationUpdate msg;
         msg.machine = reader.fixedString(kNameWidth);
@@ -364,7 +249,7 @@ decode(const Packet &packet)
         msg.substituted = reader.u8();
         if (msg.machine.empty() || msg.component.empty())
             return std::nullopt;
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::SensorRequest: {
         SensorRequest msg;
@@ -373,19 +258,15 @@ decode(const Packet &packet)
         msg.component = reader.fixedString(kNameWidth);
         if (msg.machine.empty() || msg.component.empty())
             return std::nullopt;
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::SensorReply: {
         SensorReply msg;
         msg.requestId = reader.u32();
-        uint8_t status = reader.u8();
-        if (status > static_cast<uint8_t>(Status::InternalError))
-            return std::nullopt;
-        msg.status = static_cast<Status>(status);
-        reader.u8();
-        reader.u16();
+        msg.status = readStatus(reader);
+        reader.bytes(3); // padding
         msg.temperature = reader.f64();
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::FiddleRequest: {
         FiddleRequest msg;
@@ -393,17 +274,14 @@ decode(const Packet &packet)
         msg.commandLine = reader.fixedString(kFiddleRequestWidth);
         if (msg.commandLine.empty())
             return std::nullopt;
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::FiddleReply: {
         FiddleReply msg;
         msg.requestId = reader.u32();
-        uint8_t status = reader.u8();
-        if (status > static_cast<uint8_t>(Status::InternalError))
-            return std::nullopt;
-        msg.status = static_cast<Status>(status);
+        msg.status = readStatus(reader);
         msg.message = reader.fixedString(kFiddleReplyWidth);
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::MultiReadRequest: {
         MultiReadRequest msg;
@@ -415,52 +293,43 @@ decode(const Packet &packet)
         if (count == 0 || count > kMaxMultiReadComponents)
             return std::nullopt;
         msg.components.reserve(count);
-        for (uint8_t i = 0; i < count; ++i) {
-            auto component = reader.packedString();
-            if (!component)
+        for (uint8_t i = 0; i < count && reader.ok(); ++i) {
+            std::string component = reader.string8(kNameWidth - 1);
+            if (component.empty())
                 return std::nullopt;
-            msg.components.push_back(std::move(*component));
+            msg.components.push_back(std::move(component));
         }
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::MultiReadReply: {
         MultiReadReply msg;
         msg.requestId = reader.u32();
-        uint8_t status = reader.u8();
-        if (status > static_cast<uint8_t>(Status::InternalError))
-            return std::nullopt;
-        msg.status = static_cast<Status>(status);
+        msg.status = readStatus(reader);
         uint8_t count = reader.u8();
         if (count > kMaxMultiReadComponents)
             return std::nullopt;
         msg.entries.reserve(count);
-        for (uint8_t i = 0; i < count; ++i) {
-            uint8_t entry_status = reader.u8();
-            if (entry_status > static_cast<uint8_t>(Status::InternalError))
-                return std::nullopt;
+        for (uint8_t i = 0; i < count && reader.ok(); ++i) {
             MultiReadEntry entry;
-            entry.status = static_cast<Status>(entry_status);
+            entry.status = readStatus(reader);
             entry.temperature = reader.f64();
             msg.entries.push_back(entry);
         }
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::MetricsRequest: {
         MetricsRequest msg;
         msg.requestId = reader.u32();
         msg.offset = reader.u32();
-        return msg;
+        return whole(reader, std::move(msg));
       }
       case MessageType::MetricsReply: {
         MetricsReply msg;
         msg.requestId = reader.u32();
-        uint8_t status = reader.u8();
-        if (status > static_cast<uint8_t>(Status::InternalError))
-            return std::nullopt;
-        msg.status = static_cast<Status>(status);
+        msg.status = readStatus(reader);
         msg.nextOffset = reader.u32();
         msg.fragment = reader.fixedString(kMetricsFragmentWidth);
-        return msg;
+        return whole(reader, std::move(msg));
       }
       default:
         return std::nullopt;
@@ -492,14 +361,11 @@ requestId(const Message &message)
 std::optional<uint32_t>
 peekRequestId(const Packet &packet)
 {
-    Reader reader(packet);
-    if (reader.u32() != kMagic)
+    ByteReader reader(packet.data(), packet.size());
+    std::optional<MessageType> type = readHeader(reader);
+    if (!type)
         return std::nullopt;
-    if (reader.u8() != kVersion)
-        return std::nullopt;
-    uint8_t type = reader.u8();
-    reader.u16(); // reserved
-    switch (static_cast<MessageType>(type)) {
+    switch (*type) {
       case MessageType::SensorRequest:
       case MessageType::SensorReply:
       case MessageType::FiddleRequest:
@@ -512,16 +378,6 @@ peekRequestId(const Packet &packet)
       default:
         return std::nullopt;
     }
-}
-
-std::optional<Message>
-decode(const uint8_t *data, size_t length)
-{
-    if (length != kMessageSize)
-        return std::nullopt;
-    Packet packet;
-    std::memcpy(packet.data(), data, kMessageSize);
-    return decode(packet);
 }
 
 } // namespace proto

@@ -251,27 +251,15 @@ RequestPlane::handleDatagram(
         return;
     }
     if (const auto *request = std::get_if<FiddleRequest>(&*message)) {
-        // Only the two read-only commands are answered inline; every
-        // other line mutates the solver (or saves a checkpoint) and
-        // belongs to the solver thread.
+        // Only the read-only `stats` is answered inline; every other
+        // line mutates the solver (or saves a checkpoint) and belongs
+        // to the solver thread.
         std::string line = trim(request->commandLine);
         if (line == "stats" || line == "fiddle stats") {
             FiddleReply reply;
             reply.requestId = request->requestId;
             reply.status = Status::Ok;
             reply.message = service_.statsLine().substr(0, 110);
-            push_reply(encode(reply));
-            return;
-        }
-        if (line == "metrics" || line == "fiddle metrics") {
-            FiddleReply reply;
-            reply.requestId = request->requestId;
-            reply.status = Status::Ok;
-            metrics::Registry *registry = service_.metricsRegistry();
-            reply.message =
-                (registry ? registry->renderSummary()
-                          : service_.statsLine())
-                    .substr(0, 110);
             push_reply(encode(reply));
             return;
         }

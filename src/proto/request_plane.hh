@@ -10,7 +10,7 @@
  * batch-sending replies with sendmmsg:
  *
  *  - Read RPCs (SensorRequest, MultiRead, MetricsRequest, `fiddle
- *    stats`/`fiddle metrics`) are answered inline on the worker from
+ *    stats`) are answered inline on the worker from
  *    the seqlock telemetry snapshot and the relaxed service counters —
  *    the solver is never touched, so reads scale with workers and
  *    never stall an iteration.

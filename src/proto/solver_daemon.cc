@@ -6,6 +6,7 @@
 #include "core/solver.hh"
 #include "proto/wal_codec.hh"
 #include "telemetry/writer.hh"
+#include "util/bytes.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -182,22 +183,8 @@ SolverDaemon::setupReplication()
     // A primary opens its WAL now; a standby's WAL starts at the first
     // replicated record (walAppend creates it lazily), so its header
     // carries the primary's sequence numbering instead of a local one.
-    if (!standby && !config_.walPath.empty()) {
-        replica::WalHeader header;
-        header.topologyHash = topologyHash_;
-        header.startIteration = solver_.iterations();
-        header.startSequence = nextSeq_;
-        std::string error;
-        wal_ = replica::WalWriter::create(config_.walPath, header, &error);
-        if (!wal_) {
-            warn("solverd: WAL disabled: ", error);
-            config_.walPath.clear();
-        } else {
-            inform("solverd: mutation WAL at ", config_.walPath,
-                   " (generation starts at iteration ",
-                   header.startIteration, ")");
-        }
-    }
+    if (!standby && !config_.walPath.empty())
+        openWal(solver_.iterations(), nextSeq_);
 
     if (config_.replicationPort >= 0) {
         replica::Replicator::Config replicator_config;
@@ -274,25 +261,10 @@ SolverDaemon::logMutation(const Message &message)
 void
 SolverDaemon::walAppend(const replica::WalRecord &record)
 {
-    if (!wal_ && !config_.walPath.empty()) {
-        // Standby lazy path: the generation starts at this (primary
-        // numbered) record.
-        replica::WalHeader header;
-        header.topologyHash = topologyHash_;
-        header.startIteration = record.iteration;
-        header.startSequence = record.sequence;
-        std::string error;
-        wal_ = replica::WalWriter::create(config_.walPath, header, &error);
-        if (!wal_) {
-            warn("solverd: WAL disabled: ", error);
-            config_.walPath.clear();
-        } else {
-            inform("solverd: mutation WAL at ", config_.walPath,
-                   " (generation starts at iteration ",
-                   header.startIteration, ", sequence ",
-                   header.startSequence, ")");
-        }
-    }
+    // Standby lazy path: the generation starts at this (primary
+    // numbered) record.
+    if (!wal_ && !config_.walPath.empty())
+        openWal(record.iteration, record.sequence);
     if (wal_) {
         wal_->append(record);
         if (walAppendedTotal_) {
@@ -303,6 +275,56 @@ SolverDaemon::walAppend(const replica::WalRecord &record)
     }
     if (replicator_)
         replicator_->offer(record);
+}
+
+void
+SolverDaemon::openWal(uint64_t iteration, uint64_t sequence)
+{
+    replica::WalHeader header;
+    header.topologyHash = topologyHash_;
+    header.startIteration = iteration;
+    header.startSequence = sequence;
+    std::string error;
+    wal_ = replica::WalWriter::create(config_.walPath, header, &error);
+    if (!wal_) {
+        disableWal("cannot open the WAL: " + error);
+        return;
+    }
+    inform("solverd: mutation WAL at ", config_.walPath,
+           " (generation starts at iteration ", iteration, ", sequence ",
+           sequence, ")");
+}
+
+bool
+SolverDaemon::rotateWal(uint64_t iteration, uint64_t sequence)
+{
+    replica::WalHeader header;
+    header.topologyHash = topologyHash_;
+    header.startIteration = iteration;
+    header.startSequence = sequence;
+    std::string error;
+    if (!wal_->rotate(header, &error)) {
+        disableWal("WAL rotation failed: " + error);
+        return false;
+    }
+    return true;
+}
+
+void
+SolverDaemon::flushWal()
+{
+    // One kernel write per drain; durability rides the checkpoint
+    // cadence (the standby is the low-latency copy).
+    if (wal_ && !wal_->flush())
+        disableWal("WAL write to " + wal_->path() + " failed");
+}
+
+void
+SolverDaemon::disableWal(const std::string &why)
+{
+    warn("solverd: ", why, "; running without a WAL");
+    wal_.reset();
+    config_.walPath.clear();
 }
 
 void
@@ -357,27 +379,16 @@ SolverDaemon::pollCheckpoint()
         marker.sequence = nextSeq_++;
         marker.iteration = solver_.iterations();
         marker.kind = replica::WalRecordKind::CheckpointMarker;
-        marker.payload.resize(8);
-        for (int i = 0; i < 8; ++i)
-            marker.payload[size_t(i)] = uint8_t(post >> (8 * i));
+        ByteWriter(marker.payload).u64(post);
         walAppend(marker);
     }
 
     if (timer_saved && wal_) {
-        replica::WalHeader header;
-        header.topologyHash = topologyHash_;
-        header.startIteration = solver_.iterations();
-        header.startSequence =
+        uint64_t iteration = solver_.iterations();
+        uint64_t sequence =
             standby_ ? standby_->lastAppliedSeq() + 1 : nextSeq_;
-        std::string error;
-        if (!wal_->rotate(header, &error)) {
-            warn("solverd: WAL rotation failed, disabling WAL: ", error);
-            wal_.reset();
-            config_.walPath.clear();
-        } else if (!isStandby() && replicator_) {
-            replicator_->noteRotation(header.startIteration,
-                                      header.startSequence);
-        }
+        if (rotateWal(iteration, sequence) && !isStandby() && replicator_)
+            replicator_->noteRotation(iteration, sequence);
     }
 }
 
@@ -559,14 +570,7 @@ SolverDaemon::runPrimary(LoopTimers &timers)
         plane_->waitForWork(deadline);
         plane_->drainPending();
 
-        // One kernel write per drain; durability rides the checkpoint
-        // cadence (the standby is the low-latency copy).
-        if (wal_ && !wal_->flush()) {
-            warn("solverd: WAL write to ", wal_->path(),
-                 " failed; disabling the WAL");
-            wal_.reset();
-            config_.walPath.clear();
-        }
+        flushWal();
         if (replicator_) {
             replicator_->poll(solver_.iterations());
             updateReplicaMetrics();
@@ -618,12 +622,8 @@ SolverDaemon::runStandby(LoopTimers &timers)
                !stop_.load(std::memory_order_relaxed))
             stepOnce();
 
-        if (applied && wal_ && !wal_->flush()) {
-            warn("solverd: WAL write to ", wal_->path(),
-                 " failed; disabling the WAL");
-            wal_.reset();
-            config_.walPath.clear();
-        }
+        if (applied)
+            flushWal();
         standby_->maybeAck();
 
         // Read-only traffic (and refusals) still flow through the
@@ -674,18 +674,8 @@ SolverDaemon::promote()
             warn("solverd: promotion checkpoint failed: ", error);
         lastSaveCountSeen_ = checkpointManager_->saveCount();
     }
-    if (wal_) {
-        replica::WalHeader header;
-        header.topologyHash = topologyHash_;
-        header.startIteration = iteration;
-        header.startSequence = nextSeq_;
-        std::string error;
-        if (!wal_->rotate(header, &error)) {
-            warn("solverd: WAL rotation failed, disabling WAL: ", error);
-            wal_.reset();
-            config_.walPath.clear();
-        }
-    }
+    if (wal_)
+        rotateWal(iteration, nextSeq_);
     if (replicator_) {
         replicator_->setStreamState(nextSeq_, iteration, nextSeq_);
         replicator_->setActive(true);

@@ -227,6 +227,14 @@ class SolverDaemon
      *  and offer it to the replicator. */
     void walAppend(const replica::WalRecord &record);
 
+    /** Open a fresh WAL file (openWal) or rotate to the next one
+     *  (rotateWal, true when it did), its first record @p sequence at
+     *  @p iteration; either runs on without a WAL on failure. */
+    void openWal(uint64_t iteration, uint64_t sequence);
+    bool rotateWal(uint64_t iteration, uint64_t sequence);
+    void flushWal();
+    void disableWal(const std::string &why);
+
     /** Hash the solver state at the configured cadence. */
     void maybeHashState();
 

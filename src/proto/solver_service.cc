@@ -468,17 +468,6 @@ SolverService::onFiddleRequest(const FiddleRequest &msg, bool replicated)
         return encode(reply);
     }
 
-    // `fiddle metrics` over the plain fiddle protocol: old clients
-    // get the first reply-sized chunk of the summary. New clients use
-    // the paginated MetricsRequest instead and never hit this.
-    if (line == "metrics" || line == "fiddle metrics") {
-        reply.status = Status::Ok;
-        reply.message = metricsRegistry_
-                            ? metricsRegistry_->renderSummary().substr(0, 110)
-                            : statsLine().substr(0, 110);
-        return encode(reply);
-    }
-
     // `fiddle guard ...`: the sensor trust layer's health. Routed here
     // because the guard belongs to the solver thread, and the request
     // plane already queues every non-stats fiddle line onto it.

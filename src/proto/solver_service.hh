@@ -214,8 +214,6 @@ class SolverService
      */
     void setMetricsRegistry(metrics::Registry *registry);
 
-    metrics::Registry *metricsRegistry() const { return metricsRegistry_; }
-
     /**
      * Build a MetricsReply page using @p page_cache as the client's
      * consistent-snapshot buffer. The synchronous path passes the

@@ -1,7 +1,6 @@
 #include "proto/wal_codec.hh"
 
-#include <cstring>
-
+#include "util/bytes.hh"
 #include "util/strings.hh"
 
 namespace mercury {
@@ -16,88 +15,6 @@ constexpr uint8_t kTagFiddle = 4;
 constexpr size_t kMaxNameBytes = 31;
 constexpr size_t kMaxLineBytes = 115;
 
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putShortString(std::vector<uint8_t> &out, const std::string &s)
-{
-    out.push_back(static_cast<uint8_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
-}
-
-struct Cursor
-{
-    const uint8_t *data;
-    size_t size;
-    size_t pos = 0;
-    bool ok = true;
-
-    bool
-    need(size_t bytes)
-    {
-        if (!ok || size - pos < bytes)
-            ok = false;
-        return ok;
-    }
-
-    uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return data[pos++];
-    }
-
-    uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-        pos += 4;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
-    }
-
-    std::string
-    shortString(size_t max_bytes)
-    {
-        uint8_t length = u8();
-        if (length > max_bytes || !need(length))
-            ok = false;
-        if (!ok)
-            return {};
-        std::string s(reinterpret_cast<const char *>(data + pos), length);
-        pos += length;
-        return s;
-    }
-};
-
 } // namespace
 
 bool
@@ -109,8 +26,8 @@ fiddleLineMutates(const std::string &line)
         trimmed = trim(trimmed.substr(7));
     if (trimmed.empty())
         return false;
-    if (trimmed == "stats" || trimmed == "metrics" ||
-        trimmed == "replica" || trimmed == "checkpoint")
+    if (trimmed == "stats" || trimmed == "replica" ||
+        trimmed == "checkpoint")
         return false;
     if (trimmed == "guard" || startsWith(trimmed, "guard "))
         return false;
@@ -120,28 +37,27 @@ fiddleLineMutates(const std::string &line)
 std::vector<uint8_t>
 encodeWalMutation(const Message &message)
 {
-    std::vector<uint8_t> out;
     if (const auto *update = std::get_if<UtilizationUpdate>(&message)) {
-        out.reserve(2 + update->machine.size() + update->component.size() +
-                    8 + 8 + 4 + 2);
-        out.push_back(kTagUtilization);
-        putShortString(out, update->machine);
-        putShortString(out, update->component);
-        uint64_t bits;
-        std::memcpy(&bits, &update->utilization, sizeof(bits));
-        putU64(out, bits);
-        putU64(out, update->sequence);
-        putU32(out, update->backlog);
-        out.push_back(update->substituted);
+        std::vector<uint8_t> out(1 + 1 + update->machine.size() + 1 +
+                                 update->component.size() + 8 + 8 + 4 + 1);
+        ByteWriter w(out.data(), out.size());
+        w.u8(kTagUtilization);
+        w.string8(update->machine);
+        w.string8(update->component);
+        w.f64(update->utilization);
+        w.u64(update->sequence);
+        w.u32(update->backlog);
+        w.u8(update->substituted);
         return out;
     }
     if (const auto *request = std::get_if<FiddleRequest>(&message)) {
         if (!fiddleLineMutates(request->commandLine))
             return {};
-        out.reserve(6 + request->commandLine.size());
-        out.push_back(kTagFiddle);
-        putU32(out, request->requestId);
-        putShortString(out, request->commandLine);
+        std::vector<uint8_t> out(1 + 4 + 1 + request->commandLine.size());
+        ByteWriter w(out.data(), out.size());
+        w.u8(kTagFiddle);
+        w.u32(request->requestId);
+        w.string8(request->commandLine);
         return out;
     }
     // Read RPCs and reply types: nothing to log.
@@ -151,29 +67,25 @@ encodeWalMutation(const Message &message)
 std::optional<Message>
 decodeWalMutation(const uint8_t *data, size_t size)
 {
-    Cursor in{data, size};
+    ByteReader in(data, size);
     uint8_t tag = in.u8();
-    if (!in.ok)
-        return std::nullopt;
     if (tag == kTagUtilization) {
         UtilizationUpdate update;
-        update.machine = in.shortString(kMaxNameBytes);
-        update.component = in.shortString(kMaxNameBytes);
-        uint64_t bits = in.u64();
-        std::memcpy(&update.utilization, &bits,
-                    sizeof(update.utilization));
+        update.machine = in.string8(kMaxNameBytes);
+        update.component = in.string8(kMaxNameBytes);
+        update.utilization = in.f64();
         update.sequence = in.u64();
         update.backlog = in.u32();
         update.substituted = in.u8();
-        if (!in.ok || in.pos != size || update.machine.empty())
+        if (!in.ok() || in.remaining() != 0 || update.machine.empty())
             return std::nullopt;
         return Message{std::move(update)};
     }
     if (tag == kTagFiddle) {
         FiddleRequest request;
         request.requestId = in.u32();
-        request.commandLine = in.shortString(kMaxLineBytes);
-        if (!in.ok || in.pos != size)
+        request.commandLine = in.string8(kMaxLineBytes);
+        if (!in.ok() || in.remaining() != 0)
             return std::nullopt;
         return Message{std::move(request)};
     }

@@ -6,12 +6,12 @@
  * request plane's mutation queue. Re-logging the 128-byte wire packet
  * would triple the log's footprint (a utilization update's useful
  * content is ~35 bytes), so mutations get their own length-prefixed
- * little-endian encoding here — the replica library stays
- * payload-agnostic and ships these bytes verbatim.
+ * little-endian encoding here (through util/bytes) — the replica
+ * library stays payload-agnostic and ships these bytes verbatim.
  *
  * Only messages that mutate solver state are loggable: utilization
  * updates always, fiddle requests unless the command line is one of
- * the read-only service commands (stats/metrics/guard/replica) or a
+ * the read-only service commands (stats/guard/replica) or a
  * checkpoint save (which mutates the disk, not the solver — the WAL
  * marks saves with its own CheckpointMarker record). Read RPCs never
  * reach the queue's mutation path with effects, and replay answers

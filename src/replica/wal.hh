@@ -18,7 +18,8 @@
  *            | u16 payloadLength | u64 sequence | u64 iteration
  *            | payload bytes
  *
- * Everything is little-endian, mirroring the checkpoint codec.
+ * Everything is little-endian, written and read through the shared
+ * `util/bytes` codec.
  * Records carry opaque payloads — the proto layer owns the compact
  * mutation encoding (proto/wal_codec) so this library stays free of a
  * proto dependency and the replication wire format can ship records
@@ -176,7 +177,11 @@ class WalWriter
     bool failed() const { return failed_; }
 
   private:
-    WalWriter(int fd, std::string path);
+    explicit WalWriter(std::string path);
+
+    /** Rename an existing file at path() to path() + ".old", open a
+     *  fresh one there and write @p header into it. */
+    bool startGeneration(const WalHeader &header, std::string *error);
 
     int fd_ = -1;
     std::string path_;

@@ -1,6 +1,6 @@
 #include "replica/wire.hh"
 
-#include <cstring>
+#include "util/bytes.hh"
 
 namespace mercury {
 namespace replica {
@@ -11,101 +11,17 @@ namespace {
  *  kReplicaDatagramMax long before this. */
 constexpr uint16_t kMaxRecordsPerDatagram = 256;
 
-void
-putU16(std::vector<uint8_t> &out, uint16_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-putU32(std::vector<uint8_t> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<uint8_t> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void
-putF64(std::vector<uint8_t> &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(out, bits);
-}
-
-/** Bounds-checked little-endian cursor. */
-struct Cursor
-{
-    const uint8_t *data;
-    size_t size;
-    size_t pos = 0;
-    bool ok = true;
-
-    bool
-    need(size_t bytes)
-    {
-        if (!ok || size - pos < bytes)
-            ok = false;
-        return ok;
-    }
-
-    uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return data[pos++];
-    }
-
-    uint16_t
-    u16()
-    {
-        if (!need(2))
-            return 0;
-        uint16_t v = static_cast<uint16_t>(data[pos]) |
-                     static_cast<uint16_t>(data[pos + 1]) << 8;
-        pos += 2;
-        return v;
-    }
-
-    uint64_t
-    u64()
-    {
-        if (!need(8))
-            return 0;
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-        pos += 8;
-        return v;
-    }
-
-    double
-    f64()
-    {
-        uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-};
-
+/** A datagram buffer with the 8-byte header written. */
 std::vector<uint8_t>
 header(ReplicaMsgType type)
 {
     std::vector<uint8_t> out;
     out.reserve(kReplicaDatagramMax);
-    putU32(out, kReplicaMagic);
-    out.push_back(kReplicaVersion);
-    out.push_back(static_cast<uint8_t>(type));
-    putU16(out, 0); // reserved
+    ByteWriter w(out);
+    w.u32(kReplicaMagic);
+    w.u8(kReplicaVersion);
+    w.u8(static_cast<uint8_t>(type));
+    w.u16(0); // reserved
     return out;
 }
 
@@ -121,9 +37,10 @@ std::vector<uint8_t>
 encodeReplica(const ReplicaHello &msg)
 {
     std::vector<uint8_t> out = header(ReplicaMsgType::Hello);
-    putU64(out, msg.topologyHash);
-    putU64(out, msg.lastAppliedSeq);
-    putU64(out, msg.standbyIteration);
+    ByteWriter w(out);
+    w.u64(msg.topologyHash);
+    w.u64(msg.lastAppliedSeq);
+    w.u64(msg.standbyIteration);
     return out;
 }
 
@@ -131,13 +48,14 @@ std::vector<uint8_t>
 encodeReplica(const ReplicaHelloAck &msg)
 {
     std::vector<uint8_t> out = header(ReplicaMsgType::HelloAck);
-    out.push_back(static_cast<uint8_t>(msg.status));
-    putU64(out, msg.primaryIteration);
-    putU64(out, msg.baseIteration);
-    putU64(out, msg.baseSequence);
-    putU64(out, msg.nextSeq);
-    putF64(out, msg.leaseSeconds);
-    putU32(out, msg.hashIterations);
+    ByteWriter w(out);
+    w.u8(static_cast<uint8_t>(msg.status));
+    w.u64(msg.primaryIteration);
+    w.u64(msg.baseIteration);
+    w.u64(msg.baseSequence);
+    w.u64(msg.nextSeq);
+    w.f64(msg.leaseSeconds);
+    w.u32(msg.hashIterations);
     return out;
 }
 
@@ -145,9 +63,10 @@ std::vector<uint8_t>
 encodeReplica(const ReplicaRecords &msg)
 {
     std::vector<uint8_t> out = header(ReplicaMsgType::Records);
-    putU64(out, msg.primaryIteration);
-    putU64(out, msg.nextSeq);
-    putU16(out, static_cast<uint16_t>(msg.records.size()));
+    ByteWriter w(out);
+    w.u64(msg.primaryIteration);
+    w.u64(msg.nextSeq);
+    w.u16(static_cast<uint16_t>(msg.records.size()));
     for (const WalRecord &record : msg.records)
         appendRecordBytes(out, record);
     return out;
@@ -157,12 +76,13 @@ std::vector<uint8_t>
 encodeReplica(const ReplicaAck &msg)
 {
     std::vector<uint8_t> out = header(ReplicaMsgType::Ack);
-    putU64(out, msg.contiguousSeq);
-    putU64(out, msg.appliedSeq);
-    putU64(out, msg.standbyIteration);
-    putU64(out, msg.hashIteration);
-    putU64(out, msg.stateHash);
-    out.push_back(msg.hashValid);
+    ByteWriter w(out);
+    w.u64(msg.contiguousSeq);
+    w.u64(msg.appliedSeq);
+    w.u64(msg.standbyIteration);
+    w.u64(msg.hashIteration);
+    w.u64(msg.stateHash);
+    w.u8(msg.hashValid);
     return out;
 }
 
@@ -170,40 +90,41 @@ std::vector<uint8_t>
 encodeReplica(const ReplicaHeartbeat &msg)
 {
     std::vector<uint8_t> out = header(ReplicaMsgType::Heartbeat);
-    putU64(out, msg.primaryIteration);
-    putU64(out, msg.nextSeq);
-    putF64(out, msg.leaseSeconds);
-    putU64(out, msg.hashIteration);
-    putU64(out, msg.stateHash);
-    out.push_back(msg.hashValid);
+    ByteWriter w(out);
+    w.u64(msg.primaryIteration);
+    w.u64(msg.nextSeq);
+    w.f64(msg.leaseSeconds);
+    w.u64(msg.hashIteration);
+    w.u64(msg.stateHash);
+    w.u8(msg.hashValid);
     return out;
 }
 
 std::optional<ReplicaMessage>
 decodeReplica(const uint8_t *data, size_t size)
 {
-    Cursor in{data, size};
-    uint32_t magic = 0;
-    if (in.need(4)) {
-        for (int i = 0; i < 4; ++i)
-            magic |= static_cast<uint32_t>(data[i]) << (8 * i);
-        in.pos = 4;
-    }
+    ByteReader in(data, size);
+    uint32_t magic = in.u32();
     uint8_t version = in.u8();
     uint8_t type = in.u8();
     in.u16(); // reserved
-    if (!in.ok || magic != kReplicaMagic || version != kReplicaVersion)
+    if (!in.ok() || magic != kReplicaMagic || version != kReplicaVersion)
         return std::nullopt;
 
+    // A message decodes only when every field read and the datagram
+    // ends exactly where its layout does.
+    auto whole = [&in](ReplicaMessage msg) -> std::optional<ReplicaMessage> {
+        if (!in.ok() || in.remaining() != 0)
+            return std::nullopt;
+        return msg;
+    };
     switch (static_cast<ReplicaMsgType>(type)) {
     case ReplicaMsgType::Hello: {
         ReplicaHello msg;
         msg.topologyHash = in.u64();
         msg.lastAppliedSeq = in.u64();
         msg.standbyIteration = in.u64();
-        if (!in.ok || in.pos != size)
-            return std::nullopt;
-        return msg;
+        return whole(msg);
     }
     case ReplicaMsgType::HelloAck: {
         ReplicaHelloAck msg;
@@ -216,37 +137,27 @@ decodeReplica(const uint8_t *data, size_t size)
         msg.baseSequence = in.u64();
         msg.nextSeq = in.u64();
         msg.leaseSeconds = in.f64();
-        if (in.need(4)) {
-            uint32_t v = 0;
-            for (int i = 0; i < 4; ++i)
-                v |= static_cast<uint32_t>(data[in.pos + i]) << (8 * i);
-            in.pos += 4;
-            msg.hashIterations = v;
-        }
-        if (!in.ok || in.pos != size)
-            return std::nullopt;
-        return msg;
+        msg.hashIterations = in.u32();
+        return whole(msg);
     }
     case ReplicaMsgType::Records: {
         ReplicaRecords msg;
         msg.primaryIteration = in.u64();
         msg.nextSeq = in.u64();
         uint16_t count = in.u16();
-        if (!in.ok || count > kMaxRecordsPerDatagram)
+        if (!in.ok() || count > kMaxRecordsPerDatagram)
             return std::nullopt;
         msg.records.reserve(count);
         for (uint16_t i = 0; i < count; ++i) {
             WalRecord record;
-            size_t consumed = parseRecord(data + in.pos, size - in.pos,
-                                          &record, nullptr);
+            size_t consumed = parseRecord(data + in.offset(),
+                                          in.remaining(), &record, nullptr);
             if (consumed == 0)
                 return std::nullopt;
-            in.pos += consumed;
+            in.bytes(consumed);
             msg.records.push_back(std::move(record));
         }
-        if (in.pos != size)
-            return std::nullopt;
-        return msg;
+        return whole(std::move(msg));
     }
     case ReplicaMsgType::Ack: {
         ReplicaAck msg;
@@ -256,9 +167,9 @@ decodeReplica(const uint8_t *data, size_t size)
         msg.hashIteration = in.u64();
         msg.stateHash = in.u64();
         msg.hashValid = in.u8();
-        if (!in.ok || in.pos != size || msg.hashValid > 1)
+        if (msg.hashValid > 1)
             return std::nullopt;
-        return msg;
+        return whole(msg);
     }
     case ReplicaMsgType::Heartbeat: {
         ReplicaHeartbeat msg;
@@ -268,9 +179,9 @@ decodeReplica(const uint8_t *data, size_t size)
         msg.hashIteration = in.u64();
         msg.stateHash = in.u64();
         msg.hashValid = in.u8();
-        if (!in.ok || in.pos != size || msg.hashValid > 1)
+        if (msg.hashValid > 1)
             return std::nullopt;
-        return msg;
+        return whole(msg);
     }
     default:
         return std::nullopt;

@@ -76,13 +76,6 @@ SensorClient::readManyDetailed(const std::vector<std::string> &components)
             ++begin;
             continue;
         }
-        if (multiReadUnsupported_) {
-            for (size_t i = begin; i < end; ++i)
-                out[i] = readDetailed(components[i]);
-            begin = end;
-            continue;
-        }
-
         proto::MultiReadRequest request;
         request.requestId = nextRequestId_++;
         request.machine = machine_;
@@ -91,22 +84,11 @@ SensorClient::readManyDetailed(const std::vector<std::string> &components)
         const proto::MultiReadReply *multi =
             reply ? std::get_if<proto::MultiReadReply>(&*reply) : nullptr;
         if (!multi || multi->requestId != request.requestId) {
-            // An old daemon drops the unknown message type on the
-            // floor, so the round trip times out. Latch the fallback:
-            // paying the deadline budget once per poll forever would
-            // be worse than the lost batching.
-            if (!multiReadUnsupported_) {
-                multiReadUnsupported_ = true;
-                warn("sensor: no batched-read reply from the solver for "
-                     "'", machine_, "'; using per-sensor reads from now "
-                     "on (old daemon?)");
-            }
+            // Silence, exactly as an unanswered single read reports it;
+            // the next poll batches again.
             for (size_t i = begin; i < end; ++i)
-                out[i] = readDetailed(components[i]);
-            begin = end;
-            continue;
-        }
-        if (multi->status != proto::Status::Ok) {
+                out[i].noReply = true;
+        } else if (multi->status != proto::Status::Ok) {
             // Machine-level rejection: every component carries the
             // daemon's verdict, not an anonymous failure.
             for (size_t i = begin; i < end; ++i)

@@ -53,13 +53,10 @@ class SensorClient
     ReadOutcome readDetailed(const std::string &component);
 
     /**
-     * Read several components, preferably in one MultiReadRequest
-     * datagram per chunk of kMaxMultiReadComponents. An old daemon
-     * that predates the batched RPC drops the unknown message type,
-     * which surfaces here as a timed-out first batch: the client then
-     * latches onto per-sensor reads for its lifetime (logged once).
-     * Results are positional; nullopt marks the components that
-     * failed.
+     * Read several components in one MultiReadRequest datagram per
+     * chunk of kMaxMultiReadComponents. Results are positional;
+     * nullopt marks the components that failed, including every
+     * component of a chunk whose batch went unanswered.
      */
     std::vector<std::optional<double>>
     readMany(const std::vector<std::string> &components);
@@ -69,16 +66,11 @@ class SensorClient
      * propagates each entry's own status distinctly — one unknown
      * component never taints its chunk-mates, and a machine-level
      * rejection stamps every component with that verdict rather than
-     * an anonymous failure.
+     * an anonymous failure. An unanswered batch reports noReply for
+     * each of its components, as an unanswered single read does.
      */
     std::vector<ReadOutcome>
     readManyDetailed(const std::vector<std::string> &components);
-
-    /**
-     * False once this client has fallen back to per-sensor reads
-     * (old daemon). Starts true; readMany() may flip it.
-     */
-    bool usingBatchedReads() const { return !multiReadUnsupported_; }
 
     /** Send a fiddle command line; returns (ok, diagnostic). */
     std::pair<bool, std::string> fiddle(const std::string &command_line);
@@ -86,8 +78,7 @@ class SensorClient
     /**
      * Fetch the daemon's full metrics snapshot via the paginated
      * MetricsRequest RPC (`fiddle metrics` uses this). nullopt when
-     * the daemon does not answer (timeout, or a pre-metrics daemon
-     * that drops the unknown message type).
+     * any page goes unanswered or comes back malformed.
      */
     std::optional<std::string> metricsText();
 
@@ -97,7 +88,6 @@ class SensorClient
     std::unique_ptr<Transport> transport_;
     std::string machine_;
     uint32_t nextRequestId_ = 1;
-    bool multiReadUnsupported_ = false;
 };
 
 } // namespace sensor

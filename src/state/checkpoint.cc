@@ -1,17 +1,15 @@
 #include "state/checkpoint.hh"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstring>
 
 #include "core/solver.hh"
+#include "util/bytes.hh"
 #include "util/crc32c.hh"
+#include "util/fileio.hh"
 #include "util/logging.hh"
+#include "util/strings.hh"
 
 namespace mercury {
 namespace state {
@@ -20,11 +18,11 @@ namespace {
 
 /** Hard ceilings a well-formed file can never exceed; anything above
  *  is garbage regardless of what the CRC says. */
-constexpr uint64_t kMaxMachines = 1u << 20;
-constexpr uint64_t kMaxNodes = 1u << 22;
-constexpr uint64_t kMaxEdges = 1u << 22;
-constexpr uint64_t kMaxSenders = 1u << 20;
-constexpr uint64_t kMaxStringBytes = 4096;
+constexpr uint32_t kMaxMachines = 1u << 20;
+constexpr uint32_t kMaxNodes = 1u << 22;
+constexpr uint32_t kMaxEdges = 1u << 22;
+constexpr uint32_t kMaxSenders = 1u << 20;
+constexpr size_t kMaxStringBytes = 4096;
 constexpr size_t kMaxFileBytes = 256u << 20; // 256 MiB
 
 constexpr size_t kHeaderBytes = 24;
@@ -38,212 +36,12 @@ nowNanos()
             .count());
 }
 
-int g_saveFaultStage = 0;
-
-/** Little-endian append-only serializer. */
-class ByteWriter
-{
-  public:
-    void u8(uint8_t v) { out_.push_back(v); }
-
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            out_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    f64(double v)
-    {
-        uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void
-    str(const std::string &s)
-    {
-        u32(static_cast<uint32_t>(s.size()));
-        out_.insert(out_.end(), s.begin(), s.end());
-    }
-
-    std::vector<uint8_t> take() { return std::move(out_); }
-    size_t size() const { return out_.size(); }
-
-  private:
-    std::vector<uint8_t> out_;
-};
-
-/**
- * Bounds-checked little-endian parser. Every accessor returns false
- * once the buffer is exhausted or a value fails validation; the first
- * failure latches with a diagnostic.
- */
-class ByteReader
-{
-  public:
-    ByteReader(const uint8_t *data, size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
-    bool ok() const { return ok_; }
-    const std::string &error() const { return error_; }
-    size_t remaining() const { return size_ - pos_; }
-
-    bool
-    fail(const std::string &message)
-    {
-        if (ok_) {
-            ok_ = false;
-            error_ = message + " at offset " + std::to_string(pos_);
-        }
-        return false;
-    }
-
-    bool
-    u8(uint8_t *out)
-    {
-        if (!need(1))
-            return false;
-        *out = data_[pos_++];
-        return true;
-    }
-
-    bool
-    u32(uint32_t *out)
-    {
-        if (!need(4))
-            return false;
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 4;
-        *out = v;
-        return true;
-    }
-
-    bool
-    u64(uint64_t *out)
-    {
-        if (!need(8))
-            return false;
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-        pos_ += 8;
-        *out = v;
-        return true;
-    }
-
-    /** A double that must be finite (no NaN/Inf sneaks past the CRC). */
-    bool
-    f64(double *out)
-    {
-        uint64_t bits;
-        if (!u64(&bits))
-            return false;
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        if (!std::isfinite(v))
-            return fail("non-finite double");
-        *out = v;
-        return true;
-    }
-
-    bool
-    str(std::string *out)
-    {
-        uint32_t length;
-        if (!u32(&length))
-            return false;
-        if (length > kMaxStringBytes)
-            return fail("string length " + std::to_string(length));
-        if (!need(length))
-            return false;
-        out->assign(reinterpret_cast<const char *>(data_ + pos_), length);
-        pos_ += length;
-        return true;
-    }
-
-    /** A u32 element count with a sanity ceiling. */
-    bool
-    count(uint32_t *out, uint64_t ceiling, const char *what)
-    {
-        if (!u32(out))
-            return false;
-        if (*out > ceiling)
-            return fail(std::string("absurd ") + what + " count " +
-                        std::to_string(*out));
-        return true;
-    }
-
-  private:
-    bool
-    need(size_t bytes)
-    {
-        if (size_ - pos_ < bytes)
-            return fail("truncated (need " + std::to_string(bytes) +
-                        " bytes, have " + std::to_string(size_ - pos_) +
-                        ")");
-        return true;
-    }
-
-    const uint8_t *data_;
-    size_t size_;
-    size_t pos_ = 0;
-    bool ok_ = true;
-    std::string error_;
-};
-
-/** FNV-1a accumulator for the topology hash. */
-struct Fnv
-{
-    uint64_t hash = 1469598103934665603ull;
-
-    void
-    bytes(const void *data, size_t size)
-    {
-        const auto *p = static_cast<const uint8_t *>(data);
-        for (size_t i = 0; i < size; ++i) {
-            hash ^= p[i];
-            hash *= 1099511628211ull;
-        }
-    }
-
-    void
-    str(const std::string &s)
-    {
-        uint64_t length = s.size();
-        bytes(&length, sizeof(length));
-        bytes(s.data(), s.size());
-    }
-
-    void u64(uint64_t v) { bytes(&v, sizeof(v)); }
-};
-
-void
-setError(std::string *error, std::string message)
-{
-    if (error)
-        *error = std::move(message);
-}
-
 } // namespace
 
 uint64_t
 topologyHash(const core::Solver &solver)
 {
-    Fnv fnv;
+    Fnv1a fnv;
     fnv.str("mercury-topology-v1");
     std::vector<std::string> names = solver.machineNames();
     fnv.u64(names.size());
@@ -281,7 +79,7 @@ topologyHash(const core::Solver &solver)
             fnv.str(edge.to);
         }
     }
-    return fnv.hash;
+    return fnv.value();
 }
 
 Checkpoint
@@ -473,92 +271,95 @@ restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
 std::vector<uint8_t>
 encodeCheckpoint(const Checkpoint &checkpoint)
 {
-    ByteWriter payload;
-    payload.u64(checkpoint.iterations);
-    payload.f64(checkpoint.iterationSeconds);
-    payload.u64(checkpoint.topologyHash);
-    payload.u64(checkpoint.saveCount);
+    std::vector<uint8_t> bytes;
+    ByteWriter out(bytes);
+    out.u32(kCheckpointMagic);
+    out.u32(kCheckpointVersion);
+    out.u64(0); // payload length, patched below
+    out.u32(0); // payload CRC, patched below
+    out.u32(0); // reserved
 
-    payload.u32(static_cast<uint32_t>(checkpoint.machines.size()));
+    out.u64(checkpoint.iterations);
+    out.f64(checkpoint.iterationSeconds);
+    out.u64(checkpoint.topologyHash);
+    out.u64(checkpoint.saveCount);
+
+    out.u32(static_cast<uint32_t>(checkpoint.machines.size()));
     for (const MachineState &ms : checkpoint.machines) {
-        payload.str(ms.name);
-        payload.u32(static_cast<uint32_t>(ms.temperatures.size()));
+        out.string32(ms.name);
+        out.u32(static_cast<uint32_t>(ms.temperatures.size()));
         for (double t : ms.temperatures)
-            payload.f64(t);
-        for (uint8_t p : ms.pinned)
-            payload.u8(p);
+            out.f64(t);
+        out.bytes(ms.pinned.data(), ms.pinned.size());
         for (double v : ms.pinValues)
-            payload.f64(v);
-        payload.u32(static_cast<uint32_t>(ms.powered.size()));
+            out.f64(v);
+        out.u32(static_cast<uint32_t>(ms.powered.size()));
         for (const MachineState::PoweredState &ps : ms.powered) {
-            payload.u64(ps.id);
-            payload.f64(ps.utilization);
-            payload.f64(ps.basePower);
-            payload.f64(ps.maxPower);
+            out.u64(ps.id);
+            out.f64(ps.utilization);
+            out.f64(ps.basePower);
+            out.f64(ps.maxPower);
         }
-        payload.u32(static_cast<uint32_t>(ms.heatKs.size()));
+        out.u32(static_cast<uint32_t>(ms.heatKs.size()));
         for (double k : ms.heatKs)
-            payload.f64(k);
-        payload.u32(static_cast<uint32_t>(ms.airFractions.size()));
+            out.f64(k);
+        out.u32(static_cast<uint32_t>(ms.airFractions.size()));
         for (double f : ms.airFractions)
-            payload.f64(f);
-        payload.f64(ms.fanCfm);
-        payload.f64(ms.energyConsumed);
+            out.f64(f);
+        out.f64(ms.fanCfm);
+        out.f64(ms.energyConsumed);
     }
 
-    payload.u8(checkpoint.room ? 1 : 0);
+    out.u8(checkpoint.room ? 1 : 0);
     if (checkpoint.room) {
         const RoomState &rs = *checkpoint.room;
-        payload.u32(static_cast<uint32_t>(rs.sources.size()));
+        out.u32(static_cast<uint32_t>(rs.sources.size()));
         for (const auto &[name, temp] : rs.sources) {
-            payload.str(name);
-            payload.f64(temp);
+            out.string32(name);
+            out.f64(temp);
         }
-        payload.u32(static_cast<uint32_t>(rs.edgeFractions.size()));
+        out.u32(static_cast<uint32_t>(rs.edgeFractions.size()));
         for (double f : rs.edgeFractions)
-            payload.f64(f);
-        payload.u32(static_cast<uint32_t>(rs.inletOverrides.size()));
+            out.f64(f);
+        out.u32(static_cast<uint32_t>(rs.inletOverrides.size()));
         for (const auto &[name, temp] : rs.inletOverrides) {
-            payload.str(name);
-            payload.f64(temp);
+            out.string32(name);
+            out.f64(temp);
         }
     }
 
-    payload.u32(static_cast<uint32_t>(checkpoint.senders.size()));
+    out.u32(static_cast<uint32_t>(checkpoint.senders.size()));
     for (const SenderRecord &sender : checkpoint.senders) {
-        payload.str(sender.machine);
-        payload.u8(sender.started ? 1 : 0);
-        payload.u64(sender.head);
-        payload.u64(sender.window);
-        payload.u64(sender.received);
-        payload.u64(sender.lost);
-        payload.u64(sender.duplicates);
-        payload.u64(sender.reordered);
-        payload.u32(sender.lastBacklog);
+        out.string32(sender.machine);
+        out.u8(sender.started ? 1 : 0);
+        out.u64(sender.head);
+        out.u64(sender.window);
+        out.u64(sender.received);
+        out.u64(sender.lost);
+        out.u64(sender.duplicates);
+        out.u64(sender.reordered);
+        out.u32(sender.lastBacklog);
     }
 
-    std::vector<uint8_t> body = payload.take();
-    ByteWriter file;
-    file.u32(kCheckpointMagic);
-    file.u32(kCheckpointVersion);
-    file.u64(body.size());
-    file.u32(crc32c(body.data(), body.size()));
-    file.u32(0); // reserved
-    std::vector<uint8_t> out = file.take();
-    out.insert(out.end(), body.begin(), body.end());
-    return out;
+    size_t body_bytes = out.offset() - kHeaderBytes;
+    out.patchU64(8, body_bytes);
+    out.patchU32(16, crc32c(bytes.data() + kHeaderBytes, body_bytes));
+    return bytes;
 }
 
 bool
 decodeCheckpoint(const uint8_t *data, size_t size, Checkpoint *out,
                  std::string *error)
 {
-    ByteReader header(data, size);
-    uint32_t magic = 0, version = 0, crc = 0, reserved = 0;
-    uint64_t payload_length = 0;
-    if (!header.u32(&magic) || !header.u32(&version) ||
-        !header.u64(&payload_length) || !header.u32(&crc) ||
-        !header.u32(&reserved)) {
+    // Every check below may run after a failed read (which yields
+    // 0): fail() keeps the first failure, so a later one is a no-op.
+    ByteReader in(data, size);
+    uint32_t magic = in.u32();
+    uint32_t version = in.u32();
+    uint64_t payload_length = in.u64();
+    uint32_t crc = in.u32();
+    in.u32(); // reserved
+    if (!in.ok()) {
         setError(error, "truncated header (" + std::to_string(size) +
                             " bytes)");
         return false;
@@ -578,133 +379,113 @@ decodeCheckpoint(const uint8_t *data, size_t size, Checkpoint *out,
                      std::to_string(size - kHeaderBytes) + ")");
         return false;
     }
-    const uint8_t *body = data + kHeaderBytes;
-    if (crc32c(body, payload_length) != crc) {
+    if (crc32c(data + kHeaderBytes, payload_length) != crc) {
         setError(error, "CRC mismatch");
         return false;
     }
 
-    ByteReader in(body, payload_length);
+    // The payload, read on from the header: failures name file offsets.
     Checkpoint cp;
-    in.u64(&cp.iterations);
-    in.f64(&cp.iterationSeconds);
-    in.u64(&cp.topologyHash);
-    in.u64(&cp.saveCount);
-    if (in.ok() && cp.iterationSeconds <= 0.0)
+    cp.iterations = in.u64();
+    cp.iterationSeconds = in.f64();
+    cp.topologyHash = in.u64();
+    cp.saveCount = in.u64();
+    if (cp.iterationSeconds <= 0.0)
         in.fail("non-positive iteration period");
 
-    uint32_t machine_count = 0;
-    in.count(&machine_count, kMaxMachines, "machine");
+    uint32_t machine_count = in.count(kMaxMachines, "machine");
     for (uint32_t m = 0; in.ok() && m < machine_count; ++m) {
         MachineState ms;
-        in.str(&ms.name);
-        uint32_t nodes = 0;
-        in.count(&nodes, kMaxNodes, "node");
-        ms.temperatures.resize(in.ok() ? nodes : 0);
+        ms.name = in.string32(kMaxStringBytes);
+        uint32_t nodes = in.count(kMaxNodes, "node");
+        ms.temperatures.resize(nodes);
         for (uint32_t i = 0; in.ok() && i < nodes; ++i)
-            in.f64(&ms.temperatures[i]);
-        ms.pinned.resize(in.ok() ? nodes : 0);
+            ms.temperatures[i] = in.f64();
+        ms.pinned.resize(nodes);
         for (uint32_t i = 0; in.ok() && i < nodes; ++i) {
-            in.u8(&ms.pinned[i]);
-            if (in.ok() && ms.pinned[i] > 1)
+            ms.pinned[i] = in.u8();
+            if (ms.pinned[i] > 1)
                 in.fail("pinned flag not 0/1");
         }
-        ms.pinValues.resize(in.ok() ? nodes : 0);
+        ms.pinValues.resize(nodes);
         for (uint32_t i = 0; in.ok() && i < nodes; ++i)
-            in.f64(&ms.pinValues[i]);
-        uint32_t powered = 0;
-        in.count(&powered, kMaxNodes, "powered-node");
+            ms.pinValues[i] = in.f64();
+        uint32_t powered = in.count(kMaxNodes, "powered-node");
         for (uint32_t i = 0; in.ok() && i < powered; ++i) {
             MachineState::PoweredState ps;
-            in.u64(&ps.id);
-            in.f64(&ps.utilization);
-            in.f64(&ps.basePower);
-            in.f64(&ps.maxPower);
-            if (in.ok() &&
-                (ps.utilization < 0.0 || ps.utilization > 1.0))
+            ps.id = in.u64();
+            ps.utilization = in.f64();
+            ps.basePower = in.f64();
+            ps.maxPower = in.f64();
+            if (ps.utilization < 0.0 || ps.utilization > 1.0)
                 in.fail("utilization outside [0, 1]");
-            if (in.ok() && ps.id >= nodes)
+            if (ps.id >= nodes)
                 in.fail("powered id out of range");
             ms.powered.push_back(ps);
         }
-        uint32_t heat_edges = 0;
-        in.count(&heat_edges, kMaxEdges, "heat-edge");
+        uint32_t heat_edges = in.count(kMaxEdges, "heat-edge");
         for (uint32_t i = 0; in.ok() && i < heat_edges; ++i) {
-            double k = 0.0;
-            in.f64(&k);
-            if (in.ok() && k <= 0.0)
+            double k = in.f64();
+            if (k <= 0.0)
                 in.fail("non-positive heat k");
             ms.heatKs.push_back(k);
         }
-        uint32_t air_edges = 0;
-        in.count(&air_edges, kMaxEdges, "air-edge");
+        uint32_t air_edges = in.count(kMaxEdges, "air-edge");
         for (uint32_t i = 0; in.ok() && i < air_edges; ++i) {
-            double f = 0.0;
-            in.f64(&f);
-            if (in.ok() && (f < 0.0 || f > 1.0))
+            double f = in.f64();
+            if (f < 0.0 || f > 1.0)
                 in.fail("air fraction outside [0, 1]");
             ms.airFractions.push_back(f);
         }
-        in.f64(&ms.fanCfm);
-        if (in.ok() && ms.fanCfm < 0.0)
+        ms.fanCfm = in.f64();
+        if (ms.fanCfm < 0.0)
             in.fail("negative fan flow");
-        in.f64(&ms.energyConsumed);
+        ms.energyConsumed = in.f64();
         cp.machines.push_back(std::move(ms));
     }
 
-    uint8_t has_room = 0;
-    in.u8(&has_room);
-    if (in.ok() && has_room > 1)
+    uint8_t has_room = in.u8();
+    if (has_room > 1)
         in.fail("room flag not 0/1");
-    if (in.ok() && has_room) {
+    if (has_room) {
         RoomState rs;
-        uint32_t sources = 0;
-        in.count(&sources, kMaxNodes, "room-source");
+        uint32_t sources = in.count(kMaxNodes, "room-source");
         for (uint32_t i = 0; in.ok() && i < sources; ++i) {
-            std::string name;
-            double temp = 0.0;
-            in.str(&name);
-            in.f64(&temp);
+            std::string name = in.string32(kMaxStringBytes);
+            double temp = in.f64();
             rs.sources.emplace_back(std::move(name), temp);
         }
-        uint32_t edges = 0;
-        in.count(&edges, kMaxEdges, "room-edge");
+        uint32_t edges = in.count(kMaxEdges, "room-edge");
         for (uint32_t i = 0; in.ok() && i < edges; ++i) {
-            double f = 0.0;
-            in.f64(&f);
-            if (in.ok() && (f < 0.0 || f > 1.0))
+            double f = in.f64();
+            if (f < 0.0 || f > 1.0)
                 in.fail("room fraction outside [0, 1]");
             rs.edgeFractions.push_back(f);
         }
-        uint32_t overrides = 0;
-        in.count(&overrides, kMaxNodes, "inlet-override");
+        uint32_t overrides = in.count(kMaxNodes, "inlet-override");
         for (uint32_t i = 0; in.ok() && i < overrides; ++i) {
-            std::string name;
-            double temp = 0.0;
-            in.str(&name);
-            in.f64(&temp);
+            std::string name = in.string32(kMaxStringBytes);
+            double temp = in.f64();
             rs.inletOverrides.emplace_back(std::move(name), temp);
         }
         cp.room = std::move(rs);
     }
 
-    uint32_t sender_count = 0;
-    in.count(&sender_count, kMaxSenders, "sender");
+    uint32_t sender_count = in.count(kMaxSenders, "sender");
     for (uint32_t i = 0; in.ok() && i < sender_count; ++i) {
         SenderRecord sender;
-        uint8_t started = 0;
-        in.str(&sender.machine);
-        in.u8(&started);
-        if (in.ok() && started > 1)
+        sender.machine = in.string32(kMaxStringBytes);
+        uint8_t started = in.u8();
+        if (started > 1)
             in.fail("sender started flag not 0/1");
         sender.started = started != 0;
-        in.u64(&sender.head);
-        in.u64(&sender.window);
-        in.u64(&sender.received);
-        in.u64(&sender.lost);
-        in.u64(&sender.duplicates);
-        in.u64(&sender.reordered);
-        in.u32(&sender.lastBacklog);
+        sender.head = in.u64();
+        sender.window = in.u64();
+        sender.received = in.u64();
+        sender.lost = in.u64();
+        sender.duplicates = in.u64();
+        sender.reordered = in.u64();
+        sender.lastBacklog = in.u32();
         cp.senders.push_back(std::move(sender));
     }
 
@@ -721,118 +502,25 @@ decodeCheckpoint(const uint8_t *data, size_t size, Checkpoint *out,
     return true;
 }
 
-void
-setSaveFaultStageForTest(int stage)
-{
-    g_saveFaultStage = stage;
-}
-
 bool
 saveCheckpointFile(const std::string &path, const Checkpoint &checkpoint,
                    std::string *error)
 {
     std::vector<uint8_t> bytes = encodeCheckpoint(checkpoint);
-    std::string tmp = path + ".tmp";
-
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-        setError(error, "open " + tmp + ": " + std::strerror(errno));
-        return false;
-    }
-    if (g_saveFaultStage == 1) {
-        ::close(fd);
-        setError(error, "fault injected: crash after create");
-        return false;
-    }
-    size_t to_write =
-        g_saveFaultStage == 2 ? bytes.size() / 2 : bytes.size();
-    size_t written = 0;
-    while (written < to_write) {
-        ssize_t n =
-            ::write(fd, bytes.data() + written, to_write - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            setError(error, "write " + tmp + ": " + std::strerror(errno));
-            ::close(fd);
-            return false;
-        }
-        written += static_cast<size_t>(n);
-    }
-    if (g_saveFaultStage == 2) {
-        ::close(fd);
-        setError(error, "fault injected: crash mid-write");
-        return false;
-    }
-    if (::fsync(fd) != 0) {
-        setError(error, "fsync " + tmp + ": " + std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-    if (::close(fd) != 0) {
-        setError(error, "close " + tmp + ": " + std::strerror(errno));
-        return false;
-    }
-    if (g_saveFaultStage == 3) {
-        setError(error, "fault injected: crash before rename");
-        return false;
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0) {
-        setError(error, "rename " + tmp + ": " + std::strerror(errno));
-        return false;
-    }
-    // Persist the rename itself: fsync the containing directory.
-    size_t slash = path.find_last_of('/');
-    std::string dir = slash == std::string::npos
-                          ? std::string(".")
-                          : path.substr(0, slash + 1);
-    int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-    if (dfd >= 0) {
-        ::fsync(dfd);
-        ::close(dfd);
-    }
-    return true;
+    return atomicWriteFile(
+        path,
+        std::string_view(reinterpret_cast<const char *>(bytes.data()),
+                         bytes.size()),
+        error);
 }
 
 bool
 loadCheckpointFile(const std::string &path, Checkpoint *out,
                    std::string *error)
 {
-    int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        setError(error, "open " + path + ": " + std::strerror(errno));
-        return false;
-    }
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        setError(error, "stat " + path + ": " + std::strerror(errno));
-        ::close(fd);
-        return false;
-    }
-    if (st.st_size < 0 ||
-        static_cast<size_t>(st.st_size) > kMaxFileBytes) {
-        setError(error, "implausible file size " +
-                            std::to_string(st.st_size));
-        ::close(fd);
-        return false;
-    }
-    std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size));
-    size_t got = 0;
-    while (got < bytes.size()) {
-        ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            setError(error, "read " + path + ": " + std::strerror(errno));
-            ::close(fd);
-            return false;
-        }
-        if (n == 0)
-            break; // shrank underneath us; decode will reject
-        got += static_cast<size_t>(n);
-    }
-    ::close(fd);
-    return decodeCheckpoint(bytes.data(), got, out, error);
+    std::vector<uint8_t> bytes;
+    return readFileBytes(path, kMaxFileBytes, &bytes, error) &&
+           decodeCheckpoint(bytes.data(), bytes.size(), out, error);
 }
 
 CheckpointManager::CheckpointManager(core::Solver &solver, Config config)

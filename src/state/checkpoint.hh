@@ -152,27 +152,18 @@ bool decodeCheckpoint(const uint8_t *data, size_t size, Checkpoint *out,
 /// @{
 
 /**
- * Durably replace @p path with @p checkpoint: write <path>.tmp, fsync
- * it, rename over @p path, fsync the directory. A crash at any point
- * leaves either the previous complete file or a stray .tmp — never a
- * torn checkpoint under the real name.
+ * Durably replace @p path with @p checkpoint through atomicWriteFile
+ * (util/fileio): write <path>.tmp, fsync it, rename over @p path,
+ * fsync the directory. A crash at any point leaves either the previous
+ * complete file or a stray .tmp — never a torn checkpoint under the
+ * real name.
  */
 bool saveCheckpointFile(const std::string &path,
                         const Checkpoint &checkpoint, std::string *error);
 
-/** Load and fully validate @p path. */
+/** Load (util/fileio's readFileBytes) and fully validate @p path. */
 bool loadCheckpointFile(const std::string &path, Checkpoint *out,
                         std::string *error);
-
-/**
- * Crash the write path at a chosen stage (tests only): the save
- * returns early as if the process died there, leaving the filesystem
- * in the corresponding intermediate state. 0 disables.
- *   1 = after creating an empty .tmp
- *   2 = after writing half the .tmp bytes
- *   3 = after the full .tmp, before the rename
- */
-void setSaveFaultStageForTest(int stage);
 
 /// @}
 

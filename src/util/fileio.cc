@@ -1,27 +1,45 @@
 #include "util/fileio.hh"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+
+#include "util/strings.hh"
 
 namespace mercury {
 
 namespace {
 
-void
-setError(std::string *error, std::string message)
-{
-    if (error)
-        *error = std::move(message);
-}
+int g_faultStage = 0;
 
 } // namespace
 
 bool
-atomicWriteFile(const std::string &path, const std::string &contents,
+writeAll(int fd, const void *data, size_t size)
+{
+    const auto *bytes = static_cast<const uint8_t *>(data);
+    size_t written = 0;
+    while (written < size) {
+        ssize_t n = ::write(fd, bytes + written, size - written);
+        if (n < 0 && errno != EINTR)
+            return false;
+        if (n > 0)
+            written += static_cast<size_t>(n);
+    }
+    return true;
+}
+
+void
+setAtomicWriteFaultStageForTest(int stage)
+{
+    g_faultStage = stage;
+}
+
+bool
+atomicWriteFile(const std::string &path, std::string_view contents,
                 std::string *error)
 {
     std::string tmp = path + ".tmp";
@@ -30,19 +48,23 @@ atomicWriteFile(const std::string &path, const std::string &contents,
         setError(error, "open " + tmp + ": " + std::strerror(errno));
         return false;
     }
-    size_t written = 0;
-    while (written < contents.size()) {
-        ssize_t n = ::write(fd, contents.data() + written,
-                            contents.size() - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            setError(error, "write " + tmp + ": " + std::strerror(errno));
-            ::close(fd);
-            ::unlink(tmp.c_str());
-            return false;
-        }
-        written += static_cast<size_t>(n);
+    if (g_faultStage == 1) {
+        ::close(fd);
+        setError(error, "fault injected: crash after create");
+        return false;
+    }
+    size_t to_write =
+        g_faultStage == 2 ? contents.size() / 2 : contents.size();
+    if (!writeAll(fd, contents.data(), to_write)) {
+        setError(error, "write " + tmp + ": " + std::strerror(errno));
+        ::close(fd);
+        ::unlink(tmp.c_str());
+        return false;
+    }
+    if (g_faultStage == 2) {
+        ::close(fd);
+        setError(error, "fault injected: crash mid-write");
+        return false;
     }
     if (::fsync(fd) != 0) {
         setError(error, "fsync " + tmp + ": " + std::strerror(errno));
@@ -53,6 +75,10 @@ atomicWriteFile(const std::string &path, const std::string &contents,
     if (::close(fd) != 0) {
         setError(error, "close " + tmp + ": " + std::strerror(errno));
         ::unlink(tmp.c_str());
+        return false;
+    }
+    if (g_faultStage == 3) {
+        setError(error, "fault injected: crash before rename");
         return false;
     }
     if (::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -70,6 +96,47 @@ atomicWriteFile(const std::string &path, const std::string &contents,
         ::fsync(dfd);
         ::close(dfd);
     }
+    return true;
+}
+
+bool
+readFileBytes(const std::string &path, size_t max_bytes,
+              std::vector<uint8_t> *out, std::string *error)
+{
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+        setError(error, "open " + path + ": " + std::strerror(errno));
+        return false;
+    }
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        setError(error, "stat " + path + ": " + std::strerror(errno));
+        ::close(fd);
+        return false;
+    }
+    if (st.st_size < 0 || static_cast<size_t>(st.st_size) > max_bytes) {
+        setError(error,
+                 "implausible file size " + std::to_string(st.st_size));
+        ::close(fd);
+        return false;
+    }
+    out->resize(static_cast<size_t>(st.st_size));
+    size_t got = 0;
+    while (got < out->size()) {
+        ssize_t n = ::read(fd, out->data() + got, out->size() - got);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            setError(error, "read " + path + ": " + std::strerror(errno));
+            ::close(fd);
+            return false;
+        }
+        if (n == 0)
+            break; // shrank underneath us
+        got += static_cast<size_t>(n);
+    }
+    ::close(fd);
+    out->resize(got);
     return true;
 }
 

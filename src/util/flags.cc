@@ -37,6 +37,10 @@ describeBadDouble(const std::string &value)
         return parsed == 0.0 ? "underflows a double"
                              : "out of range for a double";
     }
+    // strtod happily parses "nan" and "inf"; parseDouble refuses them
+    // (a NaN threshold would silently disable every comparison).
+    if (!std::isfinite(parsed))
+        return "must be finite";
     return "not a number";
 }
 
@@ -143,17 +147,9 @@ FlagSet::parse(int argc, const char *const *argv)
         }
         switch (flag.kind) {
           case Kind::Double: {
-            auto parsed = parseDouble(value);
-            if (!parsed) {
+            if (!parseDouble(value)) {
                 fatal("flag --", name, ": bad number '", value, "' (",
                       describeBadDouble(value), ")");
-            }
-            // strtod happily parses "nan" and "inf"; no flag here
-            // means either (a NaN threshold disables every
-            // comparison against it, silently).
-            if (!std::isfinite(*parsed)) {
-                fatal("flag --", name, ": bad number '", value,
-                      "' (must be finite)");
             }
             break;
           }

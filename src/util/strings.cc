@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -91,7 +92,8 @@ parseDouble(std::string_view text)
     errno = 0;
     char *end = nullptr;
     double value = std::strtod(buf.c_str(), &end);
-    if (errno != 0 || end != buf.c_str() + buf.size())
+    if (errno != 0 || end != buf.c_str() + buf.size() ||
+        !std::isfinite(value))
         return std::nullopt;
     return value;
 }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mercury {
@@ -32,7 +33,11 @@ bool endsWith(std::string_view text, std::string_view suffix);
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view text);
 
-/** Parse a double; nullopt when not fully consumed or malformed. */
+/**
+ * Parse a finite double; nullopt when not fully consumed, malformed,
+ * out of range, NaN or infinite. Every text input — fiddle lines,
+ * trace CSVs, graphdot configs, flags — parses numbers here.
+ */
 std::optional<double> parseDouble(std::string_view text);
 
 /** Parse a signed 64-bit integer; nullopt on failure. */
@@ -40,6 +45,14 @@ std::optional<long long> parseInt(std::string_view text);
 
 /** Parse "true"/"false"/"1"/"0" (case-insensitive). */
 std::optional<bool> parseBool(std::string_view text);
+
+/** Store @p message in @p error when the caller passed one. */
+inline void
+setError(std::string *error, std::string message)
+{
+    if (error)
+        *error = std::move(message);
+}
 
 /** printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)

@@ -19,6 +19,7 @@
 #include "core/trace.hh"
 #include "fiddle/command.hh"
 #include "state/checkpoint.hh"
+#include "util/fileio.hh"
 
 namespace mercury {
 namespace {
@@ -235,6 +236,70 @@ TEST(CheckpointCodec, VersionAndMagicMismatchAreRejected)
     EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
+// A small checkpoint, byte for byte. The format is frozen at version
+// 2: these bytes change only together with kCheckpointVersion.
+TEST(CheckpointCodec, GoldenBytesAreBitIdentical)
+{
+    state::Checkpoint checkpoint;
+    checkpoint.iterations = 12345;
+    checkpoint.iterationSeconds = 0.5;
+    checkpoint.topologyHash = 0xfeedfacecafebeefull;
+    checkpoint.saveCount = 3;
+    state::MachineState machine;
+    machine.name = "m1";
+    machine.temperatures = {21.6, 45.25};
+    machine.pinned = {0, 1};
+    machine.pinValues = {0.0, 44.0};
+    machine.powered = {{1, 0.75, 7.0, 31.0}};
+    machine.heatKs = {0.75};
+    machine.airFractions = {1.0};
+    machine.fanCfm = 38.6;
+    machine.energyConsumed = 1234.5;
+    checkpoint.machines.push_back(machine);
+    state::RoomState room;
+    room.sources = {{"ac", 18.0}};
+    room.edgeFractions = {0.5, 0.5};
+    room.inletOverrides = {{"m1", 33.5}};
+    checkpoint.room = room;
+    state::SenderRecord sender;
+    sender.machine = "m1";
+    sender.started = true;
+    sender.head = 100;
+    sender.window = 0xff;
+    sender.received = 98;
+    sender.lost = 2;
+    sender.duplicates = 1;
+    sender.reordered = 4;
+    sender.lastBacklog = 6;
+    checkpoint.senders.push_back(sender);
+
+    std::vector<uint8_t> bytes = state::encodeCheckpoint(checkpoint);
+    static const char digits[] = "0123456789abcdef";
+    std::string hex;
+    for (uint8_t byte : bytes) {
+        hex += digits[byte >> 4];
+        hex += digits[byte & 0xf];
+    }
+    EXPECT_EQ(hex,
+              "4d434b3102000000140100000000000061c654cf000000003930000000000000"
+              "000000000000e03fefbefecacefaedfe03000000000000000100000002000000"
+              "6d31020000009a999999999935400000000000a0464000010000000000000000"
+              "0000000000004640010000000100000000000000000000000000e83f00000000"
+              "00001c400000000000003f4001000000000000000000e83f0100000000000000"
+              "0000f03fcdcccccccc4c434000000000004a9340010100000002000000616300"
+              "0000000000324002000000000000000000e03f000000000000e03f0100000002"
+              "0000006d310000000000c0404001000000020000006d31016400000000000000"
+              "ff00000000000000620000000000000002000000000000000100000000000000"
+              "040000000000000006000000");
+
+    state::Checkpoint decoded;
+    std::string error;
+    ASSERT_TRUE(state::decodeCheckpoint(bytes.data(), bytes.size(),
+                                        &decoded, &error))
+        << error;
+    EXPECT_EQ(state::encodeCheckpoint(decoded), bytes);
+}
+
 TEST(CheckpointRestore, TopologyMismatchLeavesSolverUntouched)
 {
     core::Solver cluster;
@@ -278,10 +343,10 @@ TEST(CheckpointFile, CrashAtAnyWriteStageNeverLosesTheLastGoodFile)
     second.saveCount = 2;
 
     for (int stage = 1; stage <= 3; ++stage) {
-        state::setSaveFaultStageForTest(stage);
+        setAtomicWriteFaultStageForTest(stage);
         EXPECT_FALSE(state::saveCheckpointFile(path, second, &error))
             << "stage " << stage;
-        state::setSaveFaultStageForTest(0);
+        setAtomicWriteFaultStageForTest(0);
 
         // The previous complete checkpoint is still there, valid.
         state::Checkpoint loaded;

@@ -82,6 +82,15 @@ TEST(ParseCommand, Rejections)
     EXPECT_FALSE(
         parseCommand("machine1 temperature inlet abc", &error).has_value());
     EXPECT_FALSE(parseCommand("m ac x 20", &error).has_value());
+    // Non-finite numbers would turn the solver's state to NaN.
+    for (const char *line :
+         {"machine1 utilization cpu nan", "machine1 temperature cpu nan",
+          "machine1 pin cpu inf", "machine1 fan inf", "machine1 fan -inf",
+          "machine1 power cpu 7 nan"}) {
+        EXPECT_FALSE(parseCommand(line, &error).has_value()) << line;
+        EXPECT_NE(error.find("malformed number"), std::string::npos)
+            << line << ": " << error;
+    }
 }
 
 TEST(ApplyCommand, InletEmergencyAndRestore)

@@ -303,24 +303,6 @@ TEST(Metrics, SnapshotRpcIncludesServiceCounters)
     EXPECT_NE(text->find("net_updates_lost_total"), std::string::npos);
 }
 
-TEST(Metrics, FiddleMetricsCommandAnswers)
-{
-    core::Solver solver;
-    solver.addMachine(core::table1Server("machine1"));
-    Registry registry;
-    proto::SolverService service(solver);
-    service.setMetricsRegistry(&registry);
-
-    sensor::SensorClient client(
-        std::make_unique<sensor::LocalTransport>(service), "machine1");
-    // A plain fiddle reply truncates at one packet, so only the first
-    // (alphabetically) metrics fit; the paginated RPC is the full view.
-    auto [ok, message] = client.fiddle("metrics");
-    EXPECT_TRUE(ok);
-    EXPECT_NE(message.find("net_backlog_depth"), std::string::npos)
-        << message;
-}
-
 } // namespace
 } // namespace metrics
 } // namespace mercury

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "proto/messages.hh"
 #include "util/random.hh"
@@ -14,6 +16,26 @@
 namespace mercury {
 namespace proto {
 namespace {
+
+/** Lower-case hex of a whole packet. */
+std::string
+hexOf(const Packet &packet)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (uint8_t byte : packet) {
+        out += digits[byte >> 4];
+        out += digits[byte & 0xf];
+    }
+    return out;
+}
+
+/** @p prefix followed by zero padding to one full packet. */
+std::string
+paddedHex(const std::string &prefix)
+{
+    return prefix + std::string(2 * kMessageSize - prefix.size(), '0');
+}
 
 TEST(Messages, PacketSizeIsPaper128Bytes)
 {
@@ -191,6 +213,103 @@ TEST(Messages, RequestIdHelpers)
     auto one_way = decode(encode(update));
     ASSERT_TRUE(one_way.has_value());
     EXPECT_FALSE(requestId(*one_way).has_value());
+}
+
+// Every message type, byte for byte. The layouts are frozen: these
+// bytes change only together with kVersion.
+TEST(GoldenBytes, EveryMessageTypeIsBitIdentical)
+{
+    UtilizationUpdate update;
+    update.machine = "m1";
+    update.component = "cpu";
+    update.utilization = 0.625;
+    update.sequence = 0x0102030405060708ull;
+    update.backlog = 7;
+    update.substituted = 1;
+    EXPECT_EQ(hexOf(encode(update)),
+              paddedHex(
+                  "4d524331010100006d3100000000000000000000000000000000000000000000"
+                  "0000000000000000637075000000000000000000000000000000000000000000"
+                  "0000000000000000000000000000e43f08070605040302010700000001"));
+
+    EXPECT_EQ(hexOf(encode(SensorRequest{0xa1b2c3d4u, "m1", "disk"})),
+              paddedHex(
+                  "4d52433101020000d4c3b2a16d31000000000000000000000000000000000000"
+                  "0000000000000000000000006469736b"));
+
+    SensorReply sensor_reply;
+    sensor_reply.requestId = 42;
+    sensor_reply.temperature = 41.5;
+    EXPECT_EQ(hexOf(encode(sensor_reply)),
+              paddedHex("4d524331010300002a000000000000000000000000c04440"));
+
+    FiddleRequest fiddle_request;
+    fiddle_request.requestId = 7;
+    fiddle_request.commandLine = "m1 utilization cpu 0.9";
+    EXPECT_EQ(hexOf(encode(fiddle_request)),
+              paddedHex(
+                  "4d52433101040000070000006d31207574696c697a6174696f6e206370752030"
+                  "2e39"));
+
+    FiddleReply fiddle_reply;
+    fiddle_reply.requestId = 8;
+    fiddle_reply.status = Status::BadCommand;
+    fiddle_reply.message = "unknown verb";
+    EXPECT_EQ(hexOf(encode(fiddle_reply)),
+              paddedHex("4d524331010500000800000003756e6b6e6f776e2076657262"));
+
+    MultiReadRequest multi_request;
+    multi_request.requestId = 9;
+    multi_request.machine = "m2";
+    multi_request.components = {"cpu", "disk", "inlet"};
+    EXPECT_EQ(hexOf(encode(multi_request)),
+              paddedHex(
+                  "4d52433101060000090000006d32000000000000000000000000000000000000"
+                  "0000000000000000000000000303637075046469736b05696e6c6574"));
+
+    MultiReadReply multi_reply;
+    multi_reply.requestId = 10;
+    multi_reply.entries = {{Status::Ok, 40.25},
+                           {Status::UnknownComponent, 0.0}};
+    EXPECT_EQ(hexOf(encode(multi_reply)),
+              paddedHex("4d524331010700000a000000000200000000000020444002"));
+
+    EXPECT_EQ(hexOf(encode(MetricsRequest{11, 220})),
+              paddedHex("4d524331010800000b000000dc"));
+
+    MetricsReply metrics_reply;
+    metrics_reply.requestId = 12;
+    metrics_reply.nextOffset = 330;
+    metrics_reply.fragment = "net_backlog_depth 0\n";
+    EXPECT_EQ(hexOf(encode(metrics_reply)),
+              paddedHex(
+                  "4d524331010900000c000000004a0100006e65745f6261636b6c6f675f646570"
+                  "746820300a"));
+}
+
+TEST(HostileInput, NonFiniteNumbersDoNotDecode)
+{
+    // A NaN utilization would sail through std::clamp into the solver
+    // and turn the CPU to NaN one iteration later.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        UtilizationUpdate update;
+        update.machine = "m1";
+        update.component = "cpu";
+        update.utilization = bad;
+        EXPECT_FALSE(decode(encode(update)).has_value()) << bad;
+
+        SensorReply reply;
+        reply.requestId = 1;
+        reply.temperature = bad;
+        EXPECT_FALSE(decode(encode(reply)).has_value()) << bad;
+
+        MultiReadReply multi;
+        multi.requestId = 2;
+        multi.entries = {{Status::Ok, 40.0}, {Status::Ok, bad}};
+        EXPECT_FALSE(decode(encode(multi)).has_value()) << bad;
+    }
 }
 
 TEST(HostileInput, TruncatedAndOversizedLengthsRejected)

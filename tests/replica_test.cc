@@ -77,6 +77,18 @@ writeBytes(const std::string &path, const std::vector<uint8_t> &bytes)
               std::streamsize(bytes.size()));
 }
 
+std::string
+hexOf(const std::vector<uint8_t> &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (uint8_t byte : bytes) {
+        out += digits[byte >> 4];
+        out += digits[byte & 0xf];
+    }
+    return out;
+}
+
 TEST(WalCodec, UtilizationRoundTrip)
 {
     proto::UtilizationUpdate update;
@@ -122,7 +134,6 @@ TEST(WalCodec, FiddleRoundTrip)
 TEST(WalCodec, ReadOnlyFiddleLinesAreNotLoggable)
 {
     EXPECT_FALSE(proto::fiddleLineMutates("stats"));
-    EXPECT_FALSE(proto::fiddleLineMutates("metrics"));
     EXPECT_FALSE(proto::fiddleLineMutates("replica"));
     EXPECT_FALSE(proto::fiddleLineMutates("checkpoint"));
     EXPECT_FALSE(proto::fiddleLineMutates("guard"));
@@ -838,6 +849,130 @@ TEST(ReplicaLoopback, InactivePrimaryAndTopologyMismatchRefuse)
     }
     EXPECT_TRUE(mismatched.everContacted());
     EXPECT_FALSE(mismatched.attached());
+}
+
+// The WAL, its mutation payloads and every replication message, byte
+// for byte. The formats are frozen: these bytes change only together
+// with kWalVersion or kReplicaVersion.
+TEST(GoldenBytes, WalAndReplicaFormatsAreBitIdentical)
+{
+    proto::UtilizationUpdate update;
+    update.machine = "m1";
+    update.component = "cpu";
+    update.utilization = 0.625;
+    update.sequence = 0x0102030405060708ull;
+    update.backlog = 7;
+    update.substituted = 1;
+    EXPECT_EQ(hexOf(proto::encodeWalMutation(update)),
+              "01026d3103637075000000000000e43f08070605040302010700000001");
+
+    proto::FiddleRequest fiddle;
+    fiddle.requestId = 7;
+    fiddle.commandLine = "m1 utilization cpu 0.9";
+    EXPECT_EQ(hexOf(proto::encodeWalMutation(fiddle)),
+              "0407000000166d31207574696c697a6174696f6e2063707520302e39");
+
+    replica::WalHeader header;
+    header.topologyHash = 0x1122334455667788ull;
+    header.startIteration = 1000;
+    header.startSequence = 17;
+    EXPECT_EQ(
+        hexOf(replica::encodeWalHeader(header)),
+        "4d574c31010000008877665544332211e8030000000000001100000000000000");
+
+    replica::WalRecord record;
+    record.sequence = 17;
+    record.iteration = 1000;
+    record.kind = replica::WalRecordKind::Mutation;
+    record.payload = proto::encodeWalMutation(update);
+    std::vector<uint8_t> record_bytes;
+    replica::appendRecordBytes(record_bytes, record);
+    EXPECT_EQ(hexOf(record_bytes),
+              "c4cc1f8b01001d001100000000000000e80300000000000001026d3103637075"
+              "000000000000e43f08070605040302010700000001");
+
+    replica::WalRecord marker;
+    marker.sequence = 18;
+    marker.iteration = 1001;
+    marker.kind = replica::WalRecordKind::CheckpointMarker;
+    marker.payload = {3, 0, 0, 0, 0, 0, 0, 0};
+
+    replica::ReplicaHello hello;
+    hello.topologyHash = 0x1122334455667788ull;
+    hello.lastAppliedSeq = 41;
+    hello.standbyIteration = 12;
+    EXPECT_EQ(
+        hexOf(replica::encodeReplica(hello)),
+        "4d52503101010000887766554433221129000000000000000c00000000000000");
+
+    replica::ReplicaHelloAck hello_ack;
+    hello_ack.status = replica::HelloStatus::HistoryUnavailable;
+    hello_ack.primaryIteration = 500;
+    hello_ack.baseIteration = 400;
+    hello_ack.baseSequence = 33;
+    hello_ack.nextSeq = 90;
+    hello_ack.leaseSeconds = 2.5;
+    hello_ack.hashIterations = 64;
+    EXPECT_EQ(hexOf(replica::encodeReplica(hello_ack)),
+              "4d5250310102000003f401000000000000900100000000000021000000000000"
+              "005a00000000000000000000000000044040000000");
+
+    replica::ReplicaRecords records;
+    records.primaryIteration = 1001;
+    records.nextSeq = 19;
+    records.records = {record, marker};
+    EXPECT_EQ(hexOf(replica::encodeReplica(records)),
+              "4d52503101030000e90300000000000013000000000000000200c4cc1f8b0100"
+              "1d001100000000000000e80300000000000001026d3103637075000000000000"
+              "e43f08070605040302010700000001261295e7020008001200000000000000e9"
+              "030000000000000300000000000000");
+
+    replica::ReplicaAck ack;
+    ack.contiguousSeq = 20;
+    ack.appliedSeq = 19;
+    ack.standbyIteration = 18;
+    ack.hashIteration = 16;
+    ack.stateHash = 0xdeadbeefcafef00dull;
+    ack.hashValid = 1;
+    EXPECT_EQ(hexOf(replica::encodeReplica(ack)),
+              "4d52503101040000140000000000000013000000000000001200000000000000"
+              "10000000000000000df0fecaefbeadde01");
+
+    replica::ReplicaHeartbeat heartbeat;
+    heartbeat.primaryIteration = 1234;
+    heartbeat.nextSeq = 55;
+    heartbeat.leaseSeconds = 1.5;
+    heartbeat.hashIteration = 1216;
+    heartbeat.stateHash = 0x0123456789abcdefull;
+    EXPECT_EQ(hexOf(replica::encodeReplica(heartbeat)),
+              "4d52503101050000d2040000000000003700000000000000000000000000f83f"
+              "c004000000000000efcdab896745230100");
+}
+
+TEST(GoldenBytes, KnownTopologyAndStateHashes)
+{
+    core::Solver single;
+    single.addMachine(core::table1Server("m1"));
+    EXPECT_EQ(state::topologyHash(single), 0x9d54215b1cbc9078ull);
+
+    core::Solver cluster;
+    std::vector<std::string> names = {"m1", "m2"};
+    for (const std::string &name : names)
+        cluster.addMachine(core::table1Server(name));
+    cluster.setRoom(core::table1Room(names, 21.6));
+    EXPECT_EQ(state::topologyHash(cluster), 0x1c007f5c72071e32ull);
+
+    // Exact state, set rather than integrated, so the hash pins the
+    // accumulator and not the solver's arithmetic.
+    core::ThermalGraph &machine = single.machine("m1");
+    std::vector<double> temperatures(machine.nodeCount());
+    for (size_t i = 0; i < temperatures.size(); ++i)
+        temperatures[i] = 20.0 + 0.5 * double(i);
+    machine.setTemperatures(temperatures);
+    machine.restoreEnergyConsumed(4321.25);
+    single.restoreIterationCount(77);
+    ASSERT_EQ(machine.nodeCount(), 14u);
+    EXPECT_EQ(replica::stateHash(single), 0x82800fd605219d09ull);
 }
 
 TEST(StateHash, TracksBitwiseState)

@@ -138,6 +138,41 @@ TEST_F(SensorFixture, SensorClientFiddleRoundTrip)
     EXPECT_FALSE(bad_message.empty());
 }
 
+TEST_F(SensorFixture, NonFiniteInputsNeverReachTheSolver)
+{
+    // A NaN utilization packet is undecodable, not applied.
+    proto::UtilizationUpdate update;
+    update.machine = "machine1";
+    update.component = "cpu";
+    update.utilization = std::nan("");
+    auto packet = proto::encode(update);
+    EXPECT_FALSE(
+        service_.handlePacket(packet.data(), packet.size()).has_value());
+    EXPECT_EQ(service_.undecodable(), 1u);
+    EXPECT_EQ(service_.updatesApplied(), 0u);
+
+    // Non-finite fiddle values are bad commands.
+    for (const char *line :
+         {"machine1 utilization cpu nan", "machine1 temperature cpu nan",
+          "machine1 fan inf"}) {
+        proto::FiddleRequest request;
+        request.requestId = 5;
+        request.commandLine = line;
+        auto request_packet = proto::encode(request);
+        auto reply = proto::decode(*service_.handlePacket(
+            request_packet.data(), request_packet.size()));
+        ASSERT_TRUE(reply.has_value()) << line;
+        EXPECT_EQ(std::get<proto::FiddleReply>(*reply).status,
+                  proto::Status::BadCommand)
+            << line;
+    }
+
+    solver_.run(10.0);
+    for (const std::string &node : solver_.machine("machine1").nodeNames())
+        EXPECT_TRUE(std::isfinite(solver_.temperature("machine1", node)))
+            << node;
+}
+
 TEST_F(SensorFixture, CApiAgainstLocalService)
 {
     installLocalSolver(&service_);
@@ -181,7 +216,6 @@ TEST_F(SensorFixture, ClientReadManyBatchesIntoOneDatagram)
     // The whole poll fit one MultiReadRequest: one datagram, total.
     EXPECT_EQ(stats.attempts, 1u);
     EXPECT_EQ(service_.multiReads(), 1u);
-    EXPECT_TRUE(client.usingBatchedReads());
 
     // Unknown components are per-entry failures, not poll failures.
     auto mixed = client.readMany({"cpu", "gpu"});
@@ -272,12 +306,12 @@ TEST(SensorUdp, ReadManyDetailedMarksTimeoutsAsNoReply)
     EXPECT_TRUE(outcomes[0].noReply); // a dropout, not a verdict
 }
 
-// An "old daemon": answers everything except the batched-read RPC,
-// which it silently drops (unknown message type to it).
-class OldDaemonTransport final : public sensor::Transport
+// Loses the first batched read on the way to the daemon (a restart,
+// a failover, a dropped datagram), then answers everything.
+class DropFirstBatchTransport final : public sensor::Transport
 {
   public:
-    explicit OldDaemonTransport(proto::SolverService &service)
+    explicit DropFirstBatchTransport(proto::SolverService &service)
         : inner_(service)
     {
     }
@@ -286,31 +320,40 @@ class OldDaemonTransport final : public sensor::Transport
     roundTrip(const proto::Packet &request) override
     {
         auto decoded = proto::decode(request);
-        if (decoded &&
-            std::holds_alternative<proto::MultiReadRequest>(*decoded))
+        if (!dropped_ && decoded &&
+            std::holds_alternative<proto::MultiReadRequest>(*decoded)) {
+            dropped_ = true;
             return std::nullopt;
+        }
         return inner_.roundTrip(request);
     }
 
   private:
     sensor::LocalTransport inner_;
+    bool dropped_ = false;
 };
 
-TEST_F(SensorFixture, ClientFallsBackWhenDaemonIgnoresBatches)
+TEST_F(SensorFixture, UnansweredBatchIsADropoutNotAFallback)
 {
     sensor::SensorClient client(
-        std::make_unique<OldDaemonTransport>(service_), "machine1");
+        std::make_unique<DropFirstBatchTransport>(service_), "machine1");
 
+    // The lost batch reports silence for its whole chunk, like an
+    // unanswered single read — no per-sensor retry behind its back.
+    auto lost = client.readManyDetailed({"cpu", "disk"});
+    ASSERT_EQ(lost.size(), 2u);
+    for (const auto &outcome : lost) {
+        EXPECT_FALSE(outcome.value.has_value());
+        EXPECT_TRUE(outcome.noReply);
+    }
+    EXPECT_EQ(service_.sensorReads(), 0u);
+
+    // The next poll batches again: one MultiRead answers both.
     auto values = client.readMany({"cpu", "disk"});
     ASSERT_EQ(values.size(), 2u);
     EXPECT_TRUE(values[0].has_value());
     EXPECT_TRUE(values[1].has_value());
-    EXPECT_FALSE(client.usingBatchedReads());
-    EXPECT_EQ(service_.multiReads(), 0u);
-
-    // The latch sticks: later polls go straight to per-sensor reads.
-    auto again = client.readMany({"cpu"});
-    ASSERT_TRUE(again[0].has_value());
+    EXPECT_EQ(service_.multiReads(), 1u);
 }
 
 class ShmSensorFixture : public SensorFixture

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the util substrate: strings, stats, CSV, RNG, flags,
- * CRC-32C.
+ * CRC-32C, the byte codec and the file layer.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <sstream>
 #include <vector>
 
+#include "util/bytes.hh"
 #include "util/crc32c.hh"
 #include "util/csv.hh"
 #include "util/fileio.hh"
@@ -76,6 +77,16 @@ TEST(Strings, ParseDoubleAcceptsFullMatchOnly)
     EXPECT_FALSE(parseDouble("3.25x").has_value());
     EXPECT_FALSE(parseDouble("").has_value());
     EXPECT_FALSE(parseDouble("abc").has_value());
+}
+
+TEST(Strings, ParseDoubleRejectsNonFinite)
+{
+    // strtod parses all of these; every text input (fiddle lines,
+    // trace CSVs, configs, flags) must not.
+    for (const char *text : {"nan", "NaN", "-nan", "inf", "-inf",
+                             "infinity", "1e999"})
+        EXPECT_FALSE(parseDouble(text).has_value()) << text;
+    EXPECT_DOUBLE_EQ(*parseDouble("1e300"), 1e300);
 }
 
 TEST(Strings, ParseIntAndBool)
@@ -460,6 +471,157 @@ TEST(FileIo, AtomicWriteReplacesWholeFiles)
     EXPECT_FALSE(error.empty());
 
     std::remove(path.c_str());
+}
+
+TEST(FileIo, ReadFileBytesHonoursItsCeiling)
+{
+    const std::string path =
+        "/tmp/mercury_util_test.read." + std::to_string(::getpid());
+    std::string error;
+    ASSERT_TRUE(atomicWriteFile(path, "0123456789", &error)) << error;
+
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(readFileBytes(path, 10, &bytes, &error)) << error;
+    EXPECT_EQ(std::string(bytes.begin(), bytes.end()), "0123456789");
+
+    EXPECT_FALSE(readFileBytes(path, 9, &bytes, &error));
+    EXPECT_NE(error.find("implausible file size 10"), std::string::npos)
+        << error;
+    EXPECT_FALSE(readFileBytes(path + ".missing", 10, &bytes, &error));
+    EXPECT_NE(error.find("open"), std::string::npos) << error;
+    std::remove(path.c_str());
+}
+
+/** One of everything the codec writes, in a known layout. */
+std::vector<uint8_t>
+sampleBuffer()
+{
+    std::vector<uint8_t> bytes;
+    ByteWriter out(bytes);
+    out.u8(0xab);
+    out.u16(0x1234);
+    out.u32(0xdeadbeef);
+    out.u64(0x0102030405060708ull);
+    out.f64(-2.5);
+    out.string8("cpu");
+    out.string32("machine-7");
+    out.u32(3); // a count
+    out.bytes("pad", 3);
+    out.zeros(5);
+    return bytes;
+}
+
+/** Read sampleBuffer()'s layout back; true when every field matched. */
+bool
+readSample(ByteReader &in)
+{
+    bool same = in.u8() == 0xab;
+    same = in.u16() == 0x1234 && same;
+    same = in.u32() == 0xdeadbeef && same;
+    same = in.u64() == 0x0102030405060708ull && same;
+    same = in.f64() == -2.5 && same;
+    same = in.string8(31) == "cpu" && same;
+    same = in.string32(64) == "machine-7" && same;
+    same = in.count(16, "widget") == 3 && same;
+    same = in.fixedString(8) == "pad" && same;
+    return in.ok() && same;
+}
+
+TEST(Bytes, LittleEndianRoundTrip)
+{
+    std::vector<uint8_t> bytes = sampleBuffer();
+    ASSERT_EQ(bytes.size(), 1 + 2 + 4 + 8 + 8 + 4 + 13 + 4 + 8u);
+    EXPECT_EQ(bytes[1], 0x34); // least significant byte first
+    EXPECT_EQ(bytes[3], 0xef);
+    ByteReader in(bytes.data(), bytes.size());
+    EXPECT_TRUE(readSample(in)) << in.error();
+    EXPECT_EQ(in.remaining(), 0u);
+
+    // A fixed buffer takes the same bytes; overflowing it panics.
+    uint8_t fixed[4] = {};
+    ByteWriter packet(fixed, sizeof(fixed));
+    packet.u32(0xdeadbeef);
+    EXPECT_EQ(fixed[0], 0xef);
+    EXPECT_DEATH(packet.u8(1), "do not fit");
+}
+
+TEST(Bytes, EveryTruncationFailsCleanly)
+{
+    std::vector<uint8_t> bytes = sampleBuffer();
+    for (size_t length = 0; length < bytes.size(); ++length) {
+        // A copy of exactly the prefix, so ASan catches any overread.
+        std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + length);
+        ByteReader in(prefix.data(), prefix.size());
+        EXPECT_FALSE(readSample(in)) << length;
+        EXPECT_FALSE(in.ok()) << length;
+        EXPECT_NE(in.error().find("truncated"), std::string::npos)
+            << in.error();
+        EXPECT_LE(in.errorOffset(), length);
+    }
+}
+
+TEST(Bytes, CeilingsAndNonFiniteDoublesFail)
+{
+    std::vector<uint8_t> bytes;
+    ByteWriter out(bytes);
+    out.string8("component");
+    out.string32("a-long-machine-name");
+    out.u32(17);
+    {
+        ByteReader in(bytes.data(), bytes.size());
+        EXPECT_EQ(in.string8(8), "");
+        EXPECT_FALSE(in.ok());
+        EXPECT_EQ(in.errorOffset(), 0u);
+        EXPECT_NE(in.error().find("string length 9"), std::string::npos)
+            << in.error();
+    }
+    {
+        ByteReader in(bytes.data(), bytes.size());
+        EXPECT_EQ(in.string8(9), "component");
+        EXPECT_EQ(in.string32(18), "");
+        EXPECT_EQ(in.errorOffset(), 10u);
+    }
+    {
+        ByteReader in(bytes.data(), bytes.size());
+        in.string8(9);
+        in.string32(19);
+        EXPECT_EQ(in.count(16, "widget"), 0u);
+        EXPECT_NE(in.error().find("absurd widget count 17 at offset 33"),
+                  std::string::npos)
+            << in.error();
+    }
+
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+        std::vector<uint8_t> doubles;
+        ByteWriter writer(doubles);
+        writer.f64(1.0);
+        writer.f64(bad);
+        ByteReader in(doubles.data(), doubles.size());
+        EXPECT_EQ(in.f64(), 1.0);
+        EXPECT_EQ(in.f64(), 0.0);
+        EXPECT_FALSE(in.ok());
+        EXPECT_EQ(in.errorOffset(), 8u);
+        EXPECT_EQ(in.error(), "non-finite double at offset 8");
+    }
+}
+
+TEST(Bytes, FirstFailureLatches)
+{
+    std::vector<uint8_t> bytes = sampleBuffer();
+    ByteReader in(bytes.data(), bytes.size());
+    in.u8();
+    in.fail("caller's range check");
+    // Later reads return zero and never overwrite the first error.
+    EXPECT_EQ(in.u16(), 0u);
+    EXPECT_EQ(in.u64(), 0u);
+    EXPECT_EQ(in.string32(64), "");
+    EXPECT_EQ(in.bytes(1), nullptr);
+    in.fail("second");
+    EXPECT_EQ(in.errorOffset(), 1u);
+    EXPECT_EQ(in.error(), "caller's range check at offset 1");
+    EXPECT_EQ(in.offset(), 1u);
 }
 
 TEST(Flags, HelpReturnsFalse)
