@@ -14,19 +14,26 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "cluster/server_machine.hh"
 #include "core/solver.hh"
 #include "core/trace.hh"
+#include "lb/load_balancer.hh"
 #include "proto/solver_daemon.hh"
 #include "proto/solver_service.hh"
 #include "refmodel/reference_server.hh"
 #include "sensor/client.hh"
 #include "sensor/sensor_api.hh"
 #include "sensor/transport.hh"
+#include "sim/event_queue.hh"
+#include "sim/simulator.hh"
 #include "telemetry/reader.hh"
 #include "telemetry/writer.hh"
+#include "workload/generator.hh"
 
 namespace {
 
@@ -308,6 +315,58 @@ BM_OfflineTraceThroughput(benchmark::State &state)
     state.SetLabel("items = emulated seconds");
 }
 BENCHMARK(BM_OfflineTraceThroughput);
+
+void
+BM_EventQueueChurn(benchmark::State &state)
+{
+    // A steady 64-event heap: each iteration pops the earliest event,
+    // runs it, and schedules a replacement with a small capture.
+    sim::EventQueue queue;
+    uint64_t fired = 0;
+    sim::SimTime stride = static_cast<sim::SimTime>(state.range(0));
+    for (sim::SimTime i = 0; i < 64; ++i)
+        queue.schedule(i * stride, [&fired] { ++fired; });
+    for (auto _ : state) {
+        auto [when, fn] = queue.pop();
+        fn();
+        queue.schedule(when + 64 * stride, [&fired] { ++fired; });
+    }
+    benchmark::DoNotOptimize(fired);
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("items = schedule + pop");
+}
+BENCHMARK(BM_EventQueueChurn)->Arg(7);
+
+void
+BM_ClusterRequestPath(benchmark::State &state)
+{
+    // Section 5's request path, workload generator -> load balancer ->
+    // 4 servers, for 200 simulated seconds held at the paper's 70 %
+    // peak.
+    workload::WorkloadConfig config;
+    config.duration = 200.0;
+    config.peakRate = workload::peakRateForUtilization(0.70, 4, config);
+    config.valleyRate = config.peakRate;
+    uint64_t requests = 0;
+    for (auto _ : state) {
+        sim::Simulator simulator;
+        lb::LoadBalancer balancer;
+        std::vector<std::unique_ptr<cluster::ServerMachine>> servers;
+        for (int i = 0; i < 4; ++i) {
+            servers.push_back(std::make_unique<cluster::ServerMachine>(
+                simulator, "m" + std::to_string(i + 1)));
+            balancer.addServer(servers.back().get());
+        }
+        workload::WorkloadGenerator generator(simulator, balancer, config);
+        generator.start();
+        simulator.runToCompletion();
+        benchmark::DoNotOptimize(balancer.completed());
+        requests += balancer.submitted();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(requests));
+    state.SetLabel("items = requests");
+}
+BENCHMARK(BM_ClusterRequestPath)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -65,15 +65,27 @@ ServerMachine::offer(const Request &request)
 
     ++active_;
     double completion_time = std::max(cpu_end, disk_end);
-    Request copy = request;
+    uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<uint32_t>(inFlight_.size());
+        inFlight_.push_back(request);
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        inFlight_[slot] = request;
+    }
     simulator_.at(sim::seconds(completion_time),
-                  [this, copy] { finishRequest(copy); });
+                  [this, slot] { finishRequest(slot); });
     return true;
 }
 
 void
-ServerMachine::finishRequest(const Request &request)
+ServerMachine::finishRequest(uint32_t slot)
 {
+    // Copy out first: the completion hook may offer this machine a new
+    // request, which can reuse the slot or grow the table.
+    const Request request = inFlight_[slot];
+    freeSlots_.push_back(slot);
     --active_;
     ++served_;
     double latency = simulator_.nowSeconds() - request.arrivalTime;
@@ -114,11 +126,10 @@ ServerMachine::powerOn()
     if (state_ != PowerState::Off)
         return;
     enterState(PowerState::Booting);
-    bootEvent_ = simulator_.after(
-        sim::seconds(config_.bootSeconds), [this] {
-            if (state_ == PowerState::Booting)
-                enterState(PowerState::On);
-        });
+    simulator_.after(sim::seconds(config_.bootSeconds), [this] {
+        if (state_ == PowerState::Booting)
+            enterState(PowerState::On);
+    });
 }
 
 double

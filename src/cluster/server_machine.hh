@@ -19,8 +19,10 @@
 #ifndef MERCURY_CLUSTER_SERVER_MACHINE_HH
 #define MERCURY_CLUSTER_SERVER_MACHINE_HH
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "cluster/request.hh"
 #include "sim/simulator.hh"
@@ -146,7 +148,7 @@ class ServerMachine
     /// @}
 
   private:
-    void finishRequest(const Request &request);
+    void finishRequest(uint32_t slot);
     void enterState(PowerState next);
 
     /** Busy seconds accumulated up to `now` for one resource. */
@@ -179,7 +181,11 @@ class ServerMachine
     double lastDiskBusy_ = 0.0;
     double lastSampleTime_ = 0.0;
 
-    sim::EventId bootEvent_ = 0;
+    // Requests in service, in slots recycled through a free list: the
+    // completion event captures only {this, slot}, which fits
+    // std::function's local buffer, so a request allocates nothing.
+    std::vector<Request> inFlight_;
+    std::vector<uint32_t> freeSlots_;
 };
 
 } // namespace cluster

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace mercury {
@@ -10,58 +12,63 @@ EventQueue::schedule(SimTime when, Callback fn)
 {
     if (!fn)
         MERCURY_PANIC("EventQueue::schedule: empty callback");
-    EventId id = nextId_++;
-    heap_.push(Entry{when, nextSeq_++, id, std::move(fn)});
-    live_.insert(id);
+    uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<uint32_t>(slots_.size());
+        slots_.push_back(std::move(fn));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(fn);
+    }
+    uint64_t seq = nextSeq_++;
+    heap_.push_back(Entry{when, seq, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++pending_;
-    return id;
+    return seq + 1;
 }
 
 void
 EventQueue::cancel(EventId id)
 {
-    // Only events that are still queued can be cancelled; ids of fired
-    // events are no longer in the live set, so this is a no-op for them.
-    if (live_.erase(id) == 0)
+    // A fired event has left the heap, and a cancelled one has an
+    // empty slot, so neither matches here: cancelling them is a no-op.
+    auto it = std::find_if(heap_.begin(), heap_.end(), [id](const Entry &e) {
+        return e.seq + 1 == id;
+    });
+    if (it == heap_.end() || !slots_[it->slot])
         return;
-    cancelled_.insert(id);
+    slots_[it->slot] = nullptr;
     --pending_;
+    prune();
 }
 
 void
-EventQueue::prune() const
+EventQueue::popTop()
 {
-    while (!heap_.empty() && cancelled_.count(heap_.top().id)) {
-        cancelled_.erase(heap_.top().id);
-        heap_.pop();
-    }
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    freeSlots_.push_back(heap_.back().slot);
+    heap_.pop_back();
 }
 
-bool
-EventQueue::empty() const
+void
+EventQueue::prune()
 {
-    prune();
-    return heap_.empty();
-}
-
-SimTime
-EventQueue::nextTime() const
-{
-    prune();
-    return heap_.empty() ? kTimeNever : heap_.top().when;
+    while (!heap_.empty() && !slots_[heap_.front().slot])
+        popTop();
 }
 
 std::pair<SimTime, EventQueue::Callback>
 EventQueue::pop()
 {
-    prune();
     if (heap_.empty())
         MERCURY_PANIC("EventQueue::pop on empty queue");
-    Entry top = heap_.top();
-    heap_.pop();
-    live_.erase(top.id);
+    Entry top = heap_.front();
+    Callback fn = std::exchange(slots_[top.slot], nullptr);
+    popTop();
     --pending_;
-    return {top.when, std::move(top.fn)};
+    prune();
+    return {top.when, std::move(fn)};
 }
 
 } // namespace sim

@@ -1,7 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <unordered_map>
-
 #include "util/logging.hh"
 
 namespace mercury {
@@ -30,42 +28,55 @@ Simulator::every(SimTime period, PeriodicFn fn, SimTime phase)
         MERCURY_PANIC("Simulator::every: non-positive period ", period);
     if (phase < 0)
         phase = period;
-    EventId chain = nextChainId_++;
-    armPeriodic(chain, now_ + phase, period, std::move(fn));
-    return chain;
+    size_t index = chains_.size();
+    chains_.push_back(Chain{std::move(fn), period, now_ + phase});
+    arm(index);
+    return kFirstChainId + index;
 }
 
 void
-Simulator::armPeriodic(EventId chain, SimTime when, SimTime period,
-                       PeriodicFn fn)
+Simulator::arm(size_t index)
 {
-    EventId armed = queue_.schedule(when, [this, chain, when, period,
-                                           fn = std::move(fn)]() mutable {
-        // If the chain was cancelled after this event was popped but
-        // before it ran, the map entry is gone; bail out.
-        auto it = chainArm_.find(chain);
-        if (it == chainArm_.end())
-            return;
-        bool keep = fn();
-        if (keep) {
-            armPeriodic(chain, when + period, period, std::move(fn));
-        } else {
-            chainArm_.erase(chain);
-        }
-    });
-    chainArm_[chain] = armed;
+    // Two words: the closure fits std::function's local buffer, so
+    // re-arming a chain allocates nothing.
+    chains_[index].armed =
+        queue_.schedule(chains_[index].next, [this, index] { fire(index); });
+}
+
+void
+Simulator::fire(size_t index)
+{
+    Chain &chain = chains_[index]; // stays put if the body adds chains
+    chain.armed = 0;
+    bool keep = chain.fn();
+    if (!keep || chain.stopped) {
+        chain.stopped = true;
+        chain.fn = nullptr;
+        return;
+    }
+    chain.next += chain.period;
+    arm(index);
 }
 
 void
 Simulator::cancel(EventId id)
 {
-    auto it = chainArm_.find(id);
-    if (it != chainArm_.end()) {
-        queue_.cancel(it->second);
-        chainArm_.erase(it);
+    if (id < kFirstChainId) {
+        queue_.cancel(id);
         return;
     }
-    queue_.cancel(id);
+    size_t index = id - kFirstChainId;
+    if (index >= chains_.size() || chains_[index].stopped)
+        return;
+    Chain &chain = chains_[index];
+    chain.stopped = true;
+    // Inside its own body the chain is not queued; fire() stops it
+    // when the body returns (its closure cannot be destroyed here).
+    if (chain.armed != 0) {
+        queue_.cancel(chain.armed);
+        chain.armed = 0;
+        chain.fn = nullptr;
+    }
 }
 
 bool

@@ -13,9 +13,8 @@
 #ifndef MERCURY_SIM_SIMULATOR_HH
 #define MERCURY_SIM_SIMULATOR_HH
 
+#include <deque>
 #include <functional>
-#include <string>
-#include <unordered_map>
 
 #include "sim/event_queue.hh"
 #include "sim/time.hh"
@@ -49,7 +48,8 @@ class Simulator
      * Schedule @p fn every @p period. The first firing is at
      * now + @p phase (default: one full period, matching how the
      * suite's daemons wake up *after* their first interval). The
-     * returned id cancels the *chain* (valid across re-arms).
+     * returned id cancels the *chain* (valid across re-arms, and from
+     * inside the chain's own body).
      */
     EventId every(SimTime period, PeriodicFn fn, SimTime phase = -1);
 
@@ -77,24 +77,37 @@ class Simulator
     /** Number of events executed so far. */
     uint64_t eventsRun() const { return eventsRun_; }
 
-    /** Pending event count (cheap, approximate only under cancels). */
+    /**
+     * Pending event count: exact, cancelled events excluded. An active
+     * periodic chain counts as its one armed firing.
+     */
     size_t pendingEvents() const { return queue_.size(); }
 
   private:
-    struct PeriodicState;
+    /** One periodic chain; its id is kFirstChainId + its index. */
+    struct Chain
+    {
+        PeriodicFn fn;       //!< empty once the chain has stopped
+        SimTime period = 0;
+        SimTime next = 0;    //!< time of the armed firing
+        EventId armed = 0;   //!< the queued firing; 0 while the body runs
+        bool stopped = false;
+    };
+
+    /** Chain ids are disjoint from EventQueue ids. */
+    static constexpr EventId kFirstChainId = 1ULL << 62;
 
     EventQueue queue_;
     SimTime now_ = 0;
     uint64_t eventsRun_ = 0;
     bool stopRequested_ = false;
 
-    // Periodic chains: map the stable chain id to the currently armed
-    // underlying event so cancel() works between firings.
-    std::unordered_map<EventId, EventId> chainArm_;
-    EventId nextChainId_ = (1ULL << 62); // disjoint from EventQueue ids
+    // A deque keeps every chain in place while a body starts another
+    // chain, so the queued firing only needs {this, index}.
+    std::deque<Chain> chains_;
 
-    void armPeriodic(EventId chain, SimTime when, SimTime period,
-                     PeriodicFn fn);
+    void arm(size_t index);
+    void fire(size_t index);
 };
 
 } // namespace sim

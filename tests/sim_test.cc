@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -66,6 +71,90 @@ TEST(EventQueue, NextTimeReportsEarliest)
     EXPECT_EQ(queue.nextTime(), kTimeNever);
     queue.schedule(42, [] {});
     EXPECT_EQ(queue.nextTime(), 42);
+}
+
+TEST(EventQueue, MatchesOrderedMapReference)
+{
+    // Seeded random schedule/cancel/pop against a std::map keyed by
+    // (time, insertion order). Times are drawn from a narrow window
+    // so that ties are common.
+    std::mt19937_64 rng(20061021);
+    auto below = [&rng](uint64_t n) { return rng() % n; };
+
+    EventQueue queue;
+    std::map<std::pair<SimTime, uint64_t>, EventId> reference;
+    std::unordered_map<EventId, std::pair<SimTime, uint64_t>> liveKey;
+    std::vector<EventId> live;
+    std::vector<EventId> cancelled;
+    std::vector<EventId> fired;
+    uint64_t nextToken = 0;
+    uint64_t ranToken = 0;
+    EventId maxIssued = 0;
+    SimTime clock = 0;
+
+    auto schedule = [&] {
+        SimTime when = clock + static_cast<SimTime>(below(8));
+        uint64_t token = nextToken++;
+        EventId id =
+            queue.schedule(when, [&ranToken, token] { ranToken = token; });
+        reference.emplace(std::make_pair(when, token), id);
+        liveKey.emplace(id, std::make_pair(when, token));
+        live.push_back(id);
+        maxIssued = std::max(maxIssued, id);
+    };
+    auto forget = [&](EventId id) {
+        reference.erase(liveKey.at(id));
+        liveKey.erase(id);
+        live.erase(std::find(live.begin(), live.end(), id));
+    };
+
+    for (int op = 0; op < 100000; ++op) {
+        uint64_t roll = below(100);
+        if (roll < (reference.size() < 200 ? 50u : 30u)) {
+            schedule();
+        } else if (roll < 80) {
+            if (reference.empty())
+                continue;
+            auto first = reference.begin();
+            EventId id = first->second;
+            uint64_t token = first->first.second;
+            auto [when, fn] = queue.pop();
+            ASSERT_EQ(when, first->first.first);
+            fn();
+            ASSERT_EQ(ranToken, token);
+            clock = when;
+            forget(id);
+            fired.push_back(id);
+            // Reuse the slot just freed, then cancel the fired id.
+            if (below(4) == 0) {
+                schedule();
+                queue.cancel(id);
+            }
+        } else if (roll < 90) {
+            if (live.empty())
+                continue;
+            EventId id = live[below(live.size())];
+            queue.cancel(id);
+            forget(id);
+            cancelled.push_back(id);
+        } else if (roll < 95) {
+            if (!cancelled.empty())
+                queue.cancel(cancelled[below(cancelled.size())]);
+        } else if (roll < 99) {
+            if (!fired.empty())
+                queue.cancel(fired[below(fired.size())]);
+        } else {
+            queue.cancel(maxIssued + 1); // not issued yet
+        }
+        ASSERT_EQ(queue.size(), reference.size()) << "op " << op;
+        ASSERT_EQ(queue.empty(), reference.empty()) << "op " << op;
+        ASSERT_EQ(queue.nextTime(), reference.empty()
+                                        ? kTimeNever
+                                        : reference.begin()->first.first)
+            << "op " << op;
+    }
+    EXPECT_GT(fired.size(), 10000u);
+    EXPECT_GT(cancelled.size(), 5000u);
 }
 
 TEST(Simulator, ClockAdvancesToEventTime)
@@ -133,6 +222,58 @@ TEST(Simulator, CancelPeriodicChainBetweenFirings)
     simulator.cancel(chain);
     simulator.runUntil(seconds(100));
     EXPECT_EQ(count, 3);
+}
+
+TEST(Simulator, ChainCancelledInsideItsOwnBodyStops)
+{
+    Simulator simulator;
+    int count = 0;
+    EventId chain = 0;
+    chain = simulator.every(seconds(1), [&] {
+        if (++count == 2)
+            simulator.cancel(chain);
+        return true;
+    });
+    simulator.runUntil(seconds(10));
+    EXPECT_EQ(count, 2);
+    EXPECT_EQ(simulator.pendingEvents(), 0u);
+}
+
+TEST(Simulator, PeriodicBodyMayStartMoreChains)
+{
+    // Enough new chains from inside a body to move a growing table.
+    Simulator simulator;
+    int outer = 0;
+    int inner = 0;
+    simulator.every(seconds(1), [&] {
+        if (++outer == 1) {
+            for (int i = 0; i < 100; ++i) {
+                simulator.every(seconds(1), [&] {
+                    ++inner;
+                    return true;
+                });
+            }
+        }
+        return outer < 3;
+    });
+    simulator.runUntil(seconds(3));
+    EXPECT_EQ(outer, 3);
+    EXPECT_EQ(inner, 200); // started at 1 s, fired at 2 s and 3 s
+    EXPECT_EQ(simulator.pendingEvents(), 100u);
+}
+
+TEST(Simulator, RunUntilNeverReturnsOnEmptyQueue)
+{
+    // nextTime() of an empty queue is kTimeNever, which is not past
+    // this deadline: emptiness alone must end the run.
+    Simulator idle;
+    idle.runUntil(kTimeNever);
+    EXPECT_EQ(idle.eventsRun(), 0u);
+
+    Simulator drained;
+    drained.at(seconds(5), [] {});
+    drained.runUntil(kTimeNever);
+    EXPECT_EQ(drained.eventsRun(), 1u);
 }
 
 TEST(Simulator, RunUntilAdvancesClockWhenIdle)
