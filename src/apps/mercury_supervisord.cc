@@ -1,6 +1,6 @@
 /**
  * @file
- * mercury_supervisord: keeps one mercury_solverd alive. Spawns the
+ * mercury_supervisord: keeps a mercury_solverd alive. Spawns the
  * command after `--`, reaps it when it dies and restarts it with
  * exponential backoff, gives up on a crash loop, and probes `fiddle
  * stats` over UDP so a daemon that is alive-but-stuck (iteration
@@ -14,10 +14,14 @@
  *
  * HA pair mode: give it a primary command after `--` and a standby
  * command after `---` (plus --standby-solver-port and usually
- * --port-file). The supervisor watches the primary; when it dies or
- * stalls, it flips the port file to the standby — which promotes
- * itself via the replication lease — and NEVER restarts the old
- * primary (restarting it as a primary again would split the brain;
+ * --port-file). One loop serves both modes. It watches one child (the
+ * primary, or the only child) with the rules above; in HA mode a
+ * standby also waits beside it, reaped and respawned after the backoff
+ * but never probed. Failover is the only extra step: when the watched
+ * primary dies or stalls while the standby waits, the port file flips
+ * to the standby — which promotes itself via the replication lease —
+ * and the standby becomes the watched child. The old primary is NEVER
+ * restarted (restarting it as a primary again would split the brain;
  * see docs/operations.md). If the promoted child later dies it is
  * restarted with the standby command, whose --standby-grace-seconds
  * lets it promote again with no primary around.
@@ -65,25 +69,27 @@ nowSeconds()
         .count();
 }
 
-/** Sleep in slices so SIGINT/SIGTERM turns around quickly. */
-void
-interruptibleSleep(double seconds)
+/** One supervised solverd and its current process (pid -1 while down). */
+struct Child
 {
-    double deadline = nowSeconds() + seconds;
-    while (!stopRequested && nowSeconds() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-}
+    const char *role;
+    std::vector<std::string> command;
+    uint16_t port;
+    pid_t pid = -1;
+    double spawnedAt = 0.0;
+    double respawnAt = 0.0; //!< when a down child is started again
+};
 
-pid_t
-spawnChild(const std::vector<std::string> &command)
+void
+spawn(Child &child)
 {
     pid_t pid = ::fork();
     if (pid < 0)
         fatal("fork(): ", std::strerror(errno));
     if (pid == 0) {
         std::vector<char *> argv;
-        argv.reserve(command.size() + 1);
-        for (const std::string &arg : command)
+        argv.reserve(child.command.size() + 1);
+        for (const std::string &arg : child.command)
             argv.push_back(const_cast<char *>(arg.c_str()));
         argv.push_back(nullptr);
         ::execvp(argv[0], argv.data());
@@ -91,7 +97,33 @@ spawnChild(const std::vector<std::string> &command)
         // found" status tells the supervisor this is hopeless.
         ::_exit(127);
     }
-    return pid;
+    child.pid = pid;
+    child.spawnedAt = nowSeconds();
+    inform("mercury_supervisord: spawned ", child.role, " '",
+           child.command[0], "' as pid ", pid);
+}
+
+/** True once a running @p child has exited (status in @p status). */
+bool
+reaped(const Child &child, int *status)
+{
+    if (child.pid < 0)
+        return false;
+    pid_t got = ::waitpid(child.pid, status, WNOHANG);
+    if (got < 0)
+        fatal("waitpid(", child.pid, "): ", std::strerror(errno));
+    return got == child.pid;
+}
+
+/** Send @p signal to @p child and return its exit status. */
+int
+stop(const Child &child, int signal)
+{
+    ::kill(child.pid, signal);
+    int status = 0;
+    while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    return status;
 }
 
 /** Pull the iteration counter out of a stats line ("it=<n> ..."). */
@@ -117,182 +149,6 @@ describeExit(int status)
     if (WIFSIGNALED(status))
         return "signal " + std::to_string(WTERMSIG(status));
     return "unknown status";
-}
-
-std::unique_ptr<sensor::SensorClient>
-makeProbe(const std::string &host, uint16_t port)
-{
-    return std::make_unique<sensor::SensorClient>(
-        std::make_unique<sensor::UdpTransport>(host, port), "supervisor");
-}
-
-/**
- * Supervise a primary/standby solverd pair. Returns like main().
- */
-int
-runHaPair(FlagSet &flags, const std::vector<std::string> &primary_command,
-          const std::vector<std::string> &standby_command)
-{
-    double probe_seconds = flags.getDouble("probe-seconds");
-    double stall_seconds = flags.getDouble("stall-seconds");
-    std::string host = flags.getString("solver-host");
-    uint16_t primary_port =
-        static_cast<uint16_t>(flags.getInt("solver-port"));
-    long long standby_port_value = flags.getInt("standby-solver-port");
-    if (standby_port_value <= 0 || standby_port_value > 65535)
-        fatal("HA pair mode needs --standby-solver-port (the standby's "
-              "UDP service port)");
-    uint16_t standby_port = static_cast<uint16_t>(standby_port_value);
-    std::string port_file = flags.getString("port-file");
-
-    auto write_port_file = [&](uint16_t port) {
-        if (port_file.empty())
-            return;
-        std::string error;
-        if (!atomicWriteFile(port_file, std::to_string(port) + "\n",
-                             &error))
-            warn("mercury_supervisord: port file ", port_file,
-                 " not updated: ", error);
-        else
-            inform("mercury_supervisord: port file ", port_file,
-                   " -> port ", port);
-    };
-
-    state::SupervisorPolicy policy;
-    policy.initialBackoffSeconds = flags.getDouble("initial-backoff");
-    policy.maxBackoffSeconds = flags.getDouble("max-backoff");
-    policy.healthyUptimeSeconds = flags.getDouble("healthy-uptime");
-    policy.crashLoopThreshold =
-        static_cast<int>(flags.getInt("crash-loop-threshold"));
-    policy.crashLoopWindowSeconds = flags.getDouble("crash-loop-window");
-    state::RestartTracker tracker(policy);
-
-    metrics::Registry &registry = metrics::Registry::global();
-    tracker.setRestartCounter(registry.counter(
-        "supervisor_restarts_total", "child exits seen (each leads to "
-                                     "a restart unless we give up)"));
-    metrics::Counter *failovers = registry.counter(
-        "supervisor_failovers_total",
-        "primary deaths that flipped traffic to the standby");
-
-    pid_t primary_pid = spawnChild(primary_command);
-    inform("mercury_supervisord: spawned primary '", primary_command[0],
-           "' as pid ", primary_pid);
-    pid_t standby_pid = spawnChild(standby_command);
-    inform("mercury_supervisord: spawned standby '", standby_command[0],
-           "' as pid ", standby_pid);
-    write_port_file(primary_port);
-
-    std::unique_ptr<sensor::SensorClient> probe;
-    if (probe_seconds > 0.0)
-        probe = makeProbe(host, primary_port);
-    state::StallDetector stall(stall_seconds);
-    double spawned_at = nowSeconds();
-    double last_responsive = spawned_at;
-    double next_probe = spawned_at + probe_seconds;
-    bool failed_over = false;
-
-    while (!stopRequested) {
-        int status = 0;
-
-        // Pre-failover, the standby is restarted freely: losing it
-        // costs redundancy, not service.
-        if (!failed_over && standby_pid > 0 &&
-            ::waitpid(standby_pid, &status, WNOHANG) == standby_pid) {
-            double delay = tracker.onExit(nowSeconds(), 0.0);
-            warn("mercury_supervisord: standby pid ", standby_pid,
-                 " died (", describeExit(status), "); restarting in ",
-                 delay, " s");
-            standby_pid = -1;
-            interruptibleSleep(delay);
-            if (stopRequested)
-                break;
-            standby_pid = spawnChild(standby_command);
-            inform("mercury_supervisord: respawned standby as pid ",
-                   standby_pid);
-        }
-
-        pid_t watched = failed_over ? standby_pid : primary_pid;
-        bool watched_dead =
-            ::waitpid(watched, &status, WNOHANG) == watched;
-        double now = nowSeconds();
-        if (!watched_dead && probe && now >= next_probe) {
-            auto [ok, reply] = probe->fiddle("stats");
-            if (ok) {
-                last_responsive = now;
-                if (auto iterations = parseIterations(reply))
-                    stall.noteProgress(*iterations, now);
-            }
-            next_probe = now + probe_seconds;
-        }
-        if (!watched_dead && probe && stall_seconds > 0.0 &&
-            (stall.stalled(now) ||
-             now - last_responsive > stall_seconds)) {
-            warn("mercury_supervisord: pid ", watched,
-                 " is stuck (no progress for ", stall_seconds,
-                 " s), killing it");
-            ::kill(watched, SIGKILL);
-            while (::waitpid(watched, &status, 0) < 0 && errno == EINTR) {
-            }
-            watched_dead = true;
-        }
-
-        if (watched_dead) {
-            if (!failed_over) {
-                warn("mercury_supervisord: primary pid ", primary_pid,
-                     " is gone (", describeExit(status),
-                     "); failing over to the standby on port ",
-                     standby_port);
-                failovers->inc();
-                failed_over = true;
-                primary_pid = -1;
-                // The old primary is never restarted: its lineage is
-                // dead the moment the standby's lease expires, and
-                // bringing it back as a primary would split the brain.
-                write_port_file(standby_port);
-                if (probe_seconds > 0.0)
-                    probe = makeProbe(host, standby_port);
-            } else {
-                double uptime = now - spawned_at;
-                double delay = tracker.onExit(now, uptime);
-                if (tracker.crashLooping(now))
-                    fatal("mercury_supervisord: crash loop (",
-                          policy.crashLoopThreshold, " exits within ",
-                          policy.crashLoopWindowSeconds,
-                          " s), giving up");
-                warn("mercury_supervisord: promoted pid ", watched,
-                     " died (", describeExit(status), ") after ", uptime,
-                     " s; restarting in ", delay, " s");
-                interruptibleSleep(delay);
-                if (stopRequested)
-                    break;
-                // Restart with the *standby* command: with no primary
-                // answering, --standby-grace-seconds promotes it from
-                // its own checkpoint.
-                spawned_at = nowSeconds();
-                standby_pid = spawnChild(standby_command);
-                inform("mercury_supervisord: respawned as pid ",
-                       standby_pid);
-            }
-            stall.reset();
-            last_responsive = nowSeconds();
-            next_probe = last_responsive + probe_seconds;
-            continue;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-
-    for (pid_t pid : {primary_pid, standby_pid}) {
-        if (pid <= 0)
-            continue;
-        ::kill(pid, SIGTERM);
-        int status = 0;
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-        }
-    }
-    inform("mercury_supervisord: shutting down (",
-           failovers->value(), " failover(s))");
-    return 0;
 }
 
 } // namespace
@@ -333,8 +189,8 @@ main(int argc, char **argv)
                     "UDP service port of the standby in HA pair mode "
                     "(command after ---)");
     flags.defineString("port-file", "",
-                       "HA pair mode: file naming the live daemon's "
-                       "port; rewritten atomically on failover");
+                       "file naming the watched daemon's port; written "
+                       "at start and rewritten atomically on failover");
     flags.defineDouble("probe-seconds", 2.0,
                        "seconds between fiddle-stats liveness probes "
                        "(0 disables stall detection)");
@@ -351,10 +207,13 @@ main(int argc, char **argv)
     flags.defineDouble("crash-loop-window", 60.0,
                        "crash-loop detection window [s]");
     flags.defineInt("max-restarts", 0,
-                    "stop after this many restarts (0 = unlimited)");
+                    "give up when the watched child exits and this "
+                    "many exits, a waiting standby's included, have "
+                    "been seen (0 = unlimited)");
     flags.defineString("metrics-path", "",
                        "write a Prometheus-style metrics text file here "
-                       "on every child event (empty disables)");
+                       "on every child event and at shutdown (empty "
+                       "disables)");
     flags.defineBool("verbose", false, "enable info logging");
     if (!flags.parse(own_argc, argv))
         return 0;
@@ -367,8 +226,20 @@ main(int argc, char **argv)
     std::signal(SIGINT, handleSignal);
     std::signal(SIGTERM, handleSignal);
 
-    if (!standby_command.empty())
-        return runHaPair(flags, child_command, standby_command);
+    std::vector<Child> children;
+    children.push_back(
+        {standby_command.empty() ? "child" : "primary", child_command,
+         static_cast<uint16_t>(flags.getInt("solver-port"))});
+    if (!standby_command.empty()) {
+        long long port = flags.getInt("standby-solver-port");
+        if (port <= 0 || port > 65535)
+            fatal("HA pair mode needs --standby-solver-port (the "
+                  "standby's UDP service port)");
+        children.push_back(
+            {"standby", standby_command, static_cast<uint16_t>(port)});
+    }
+    Child *watched = &children[0];
+    Child *waiting = children.size() > 1 ? &children[1] : nullptr;
 
     state::SupervisorPolicy policy;
     policy.initialBackoffSeconds = flags.getDouble("initial-backoff");
@@ -378,6 +249,7 @@ main(int argc, char **argv)
         static_cast<int>(flags.getInt("crash-loop-threshold"));
     policy.crashLoopWindowSeconds = flags.getDouble("crash-loop-window");
     state::RestartTracker tracker(policy);
+    long long max_restarts = flags.getInt("max-restarts");
 
     metrics::Registry &registry = metrics::Registry::global();
     tracker.setRestartCounter(registry.counter(
@@ -386,6 +258,9 @@ main(int argc, char **argv)
     metrics::Counter *stall_kills = registry.counter(
         "supervisor_stall_kills_total",
         "children killed because their iteration counter froze");
+    metrics::Counter *failovers = registry.counter(
+        "supervisor_failovers_total",
+        "primary deaths that flipped traffic to the standby");
     metrics::CallbackGuard backoff_guard;
     backoff_guard.add(registry, "supervisor_backoff_seconds",
                       "the delay the next restart would wait",
@@ -397,109 +272,150 @@ main(int argc, char **argv)
         if (!metrics_path.empty())
             metrics::writeTextFile(registry, metrics_path);
     };
+    std::string port_file = flags.getString("port-file");
+    auto write_port_file = [&] {
+        if (port_file.empty())
+            return;
+        std::string error;
+        if (!atomicWriteFile(port_file,
+                             std::to_string(watched->port) + "\n", &error))
+            warn("mercury_supervisord: port file ", port_file,
+                 " not updated: ", error);
+        else
+            inform("mercury_supervisord: port file ", port_file,
+                   " -> port ", watched->port);
+    };
 
+    // Liveness of the watched child, started afresh whenever it is
+    // (re)spawned or a failover hands the watch to the standby.
     double probe_seconds = flags.getDouble("probe-seconds");
     double stall_seconds = flags.getDouble("stall-seconds");
-    state::StallDetector stall(stall_seconds);
+    std::string host = flags.getString("solver-host");
     std::unique_ptr<sensor::SensorClient> probe;
-    if (probe_seconds > 0.0) {
-        probe = std::make_unique<sensor::SensorClient>(
-            std::make_unique<sensor::UdpTransport>(
-                flags.getString("solver-host"),
-                static_cast<uint16_t>(flags.getInt("solver-port"))),
-            "supervisor");
-    }
-    long long max_restarts = flags.getInt("max-restarts");
-
-    while (!stopRequested) {
-        double spawned_at = nowSeconds();
-        pid_t pid = spawnChild(child_command);
-        inform("mercury_supervisord: spawned '", child_command[0],
-               "' as pid ", pid);
-        write_metrics();
+    state::StallDetector stall(stall_seconds);
+    double last_responsive = 0.0;
+    double next_probe = 0.0;
+    auto watch = [&](double now) {
+        if (probe_seconds > 0.0)
+            probe = std::make_unique<sensor::SensorClient>(
+                std::make_unique<sensor::UdpTransport>(host,
+                                                       watched->port),
+                "supervisor");
         stall.reset();
-        double last_responsive = spawned_at;
-        double next_probe = spawned_at + probe_seconds;
-        int status = 0;
-        bool reaped = false;
-        bool killed_for_stall = false;
+        last_responsive = now;
+        next_probe = now + probe_seconds;
+    };
 
-        while (!stopRequested) {
-            pid_t got = ::waitpid(pid, &status, WNOHANG);
-            if (got < 0)
-                fatal("waitpid(", pid, "): ", std::strerror(errno));
-            if (got == pid) {
-                reaped = true;
-                break;
+    write_port_file();
+    for (; !stopRequested;
+         std::this_thread::sleep_for(std::chrono::milliseconds(100))) {
+        double now = nowSeconds();
+        // Start each child whose restart deadline has passed: both on
+        // the first tick, later whichever died.
+        for (Child *child : {watched, waiting}) {
+            if (child && child->pid < 0 && now >= child->respawnAt) {
+                spawn(*child);
+                if (child == watched)
+                    watch(now);
+                write_metrics();
             }
-            double now = nowSeconds();
-            if (probe && now >= next_probe) {
-                auto [ok, reply] = probe->fiddle("stats");
-                if (ok) {
-                    last_responsive = now;
-                    if (auto iterations = parseIterations(reply))
-                        stall.noteProgress(*iterations, now);
-                }
-                next_probe = now + probe_seconds;
-            }
-            if (probe && stall_seconds > 0.0 &&
-                (stall.stalled(now) ||
-                 now - last_responsive > stall_seconds)) {
-                warn("mercury_supervisord: pid ", pid,
-                     " is stuck (no progress for ", stall_seconds,
-                     " s), killing it");
-                ::kill(pid, SIGKILL);
-                while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-                }
-                reaped = true;
-                killed_for_stall = true;
-                stall_kills->inc();
-                break;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
         }
 
-        if (stopRequested) {
-            if (!reaped) {
-                // Forward the shutdown so the child writes its final
-                // checkpoint, then wait for it.
-                ::kill(pid, SIGTERM);
-                while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-                }
+        // The waiting standby: losing it costs redundancy, not
+        // service, so it is respawned freely and never gives up.
+        int status = 0;
+        if (waiting && reaped(*waiting, &status)) {
+            double delay =
+                tracker.onExit(now, now - waiting->spawnedAt);
+            warn("mercury_supervisord: standby pid ", waiting->pid,
+                 " died (", describeExit(status), "); restarting in ",
+                 delay, " s");
+            waiting->pid = -1;
+            waiting->respawnAt = now + delay;
+            write_metrics();
+        }
+
+        if (watched->pid < 0)
+            continue;
+        bool dead = reaped(*watched, &status);
+        if (!dead && probe && now >= next_probe) {
+            auto [ok, reply] = probe->fiddle("stats");
+            if (ok) {
+                last_responsive = now;
+                if (auto iterations = parseIterations(reply))
+                    stall.noteProgress(*iterations, now);
             }
-            inform("mercury_supervisord: shutting down after ",
-                   tracker.restarts(), " restart(s)");
+            next_probe = now + probe_seconds;
+        }
+        bool killed_for_stall =
+            !dead && probe && stall_seconds > 0.0 &&
+            (stall.stalled(now) || now - last_responsive > stall_seconds);
+        if (killed_for_stall) {
+            warn("mercury_supervisord: pid ", watched->pid,
+                 " is stuck (no progress for ", stall_seconds,
+                 " s), killing it");
+            status = stop(*watched, SIGKILL);
+            stall_kills->inc();
+        }
+        if (!dead && !killed_for_stall)
+            continue;
+        pid_t pid = watched->pid;
+        watched->pid = -1;
+
+        if (waiting) {
+            warn("mercury_supervisord: primary pid ", pid, " is gone (",
+                 describeExit(status),
+                 "); failing over to the standby on port ",
+                 waiting->port);
+            failovers->inc();
+            // The old primary is never restarted: its lineage is dead
+            // the moment the standby's lease expires, and bringing it
+            // back as a primary would split the brain.
+            watched = waiting;
+            waiting = nullptr;
+            if (watched->pid < 0)
+                spawn(*watched);
+            write_port_file();
+            watch(now);
+            write_metrics();
+            continue;
+        }
+
+        if (!killed_for_stall && WIFEXITED(status) &&
+            WEXITSTATUS(status) == 0) {
+            inform("mercury_supervisord: ", watched->role,
+                   " exited cleanly, done");
             write_metrics();
             return 0;
         }
-
-        double now = nowSeconds();
-        double uptime = now - spawned_at;
-        if (!killed_for_stall && WIFEXITED(status) &&
-            WEXITSTATUS(status) == 0) {
-            inform("mercury_supervisord: child exited cleanly, done");
-            return 0;
-        }
         if (WIFEXITED(status) && WEXITSTATUS(status) == 127)
-            fatal("mercury_supervisord: cannot exec '", child_command[0],
-                  "'");
-
+            fatal("mercury_supervisord: cannot exec '",
+                  watched->command[0], "'");
+        double uptime = now - watched->spawnedAt;
         double delay = tracker.onExit(now, uptime);
-        if (tracker.crashLooping(now)) {
+        write_metrics();
+        if (tracker.crashLooping(now))
             fatal("mercury_supervisord: crash loop (",
                   policy.crashLoopThreshold, " exits within ",
                   policy.crashLoopWindowSeconds, " s), giving up");
-        }
         if (max_restarts > 0 &&
-            tracker.restarts() >= static_cast<uint64_t>(max_restarts)) {
+            tracker.restarts() >= static_cast<uint64_t>(max_restarts))
             fatal("mercury_supervisord: --max-restarts ", max_restarts,
                   " reached, giving up");
-        }
-        warn("mercury_supervisord: pid ", pid, " died (",
-             describeExit(status), ") after ", uptime,
+        warn("mercury_supervisord: ", watched->role, " pid ", pid,
+             " died (", describeExit(status), ") after ", uptime,
              " s; restarting in ", delay, " s");
-        write_metrics();
-        interruptibleSleep(delay);
+        watched->respawnAt = now + delay;
     }
+
+    // Forward the shutdown so each child writes its final checkpoint,
+    // then wait for it.
+    for (const Child &child : children) {
+        if (child.pid > 0)
+            stop(child, SIGTERM);
+    }
+    inform("mercury_supervisord: shutting down after ", tracker.restarts(),
+           " restart(s), ", failovers->value(), " failover(s)");
+    write_metrics();
     return 0;
 }

@@ -107,18 +107,6 @@ Monitord::flushBacklog()
 }
 
 Monitord::Sink
-Monitord::udpSink(std::shared_ptr<net::UdpSocket> socket,
-                  net::Endpoint solver)
-{
-    if (!socket)
-        MERCURY_PANIC("Monitord::udpSink: null socket");
-    return [socket, solver](const proto::UtilizationUpdate &update) {
-        proto::Packet packet = proto::encode(update);
-        socket->sendTo(solver, packet.data(), packet.size());
-    };
-}
-
-Monitord::Sink
 Monitord::serviceSink(proto::SolverService &service)
 {
     return [&service](const proto::UtilizationUpdate &update) {

@@ -5,8 +5,9 @@
  * (paper Section 2.3). The update frequency is a tunable set to one
  * second by default, like the paper's.
  *
- * The sink is pluggable: a UDP sink for the real daemon, an in-process
- * sink straight into a SolverService for simulated clusters and tests.
+ * The sink is pluggable: an UpdateBatcher's UDP sink for the real
+ * daemon, an in-process sink straight into a SolverService for
+ * simulated clusters and tests.
  */
 
 #ifndef MERCURY_MONITOR_MONITORD_HH
@@ -119,10 +120,6 @@ class Monitord
 
     /// @}
 
-    /** Sink that sends 128-byte datagrams to a solver endpoint. */
-    static Sink udpSink(std::shared_ptr<net::UdpSocket> socket,
-                        net::Endpoint solver);
-
     /** Sink that feeds a SolverService directly (same packet bytes). */
     static Sink serviceSink(proto::SolverService &service);
 
@@ -162,7 +159,8 @@ class Monitord
 };
 
 /**
- * Coalesces udpSink-style per-update datagrams into sendMany batches.
+ * Ships a Monitord's updates as 128-byte datagrams to the solver,
+ * coalesced into sendMany batches.
  *
  * A /proc machine reports a handful of components per tick and an
  * outage replay ships hundreds of queued samples back-to-back; sending

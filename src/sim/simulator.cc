@@ -18,6 +18,9 @@ Simulator::after(SimTime delay, Callback fn)
 {
     if (delay < 0)
         MERCURY_PANIC("Simulator::after: negative delay ", delay);
+    if (delay > kTimeNever - now_)
+        MERCURY_PANIC("Simulator::after: delay ", delay, " from now ",
+                      now_, " passes kTimeNever");
     return queue_.schedule(now_ + delay, std::move(fn));
 }
 
@@ -28,6 +31,9 @@ Simulator::every(SimTime period, PeriodicFn fn, SimTime phase)
         MERCURY_PANIC("Simulator::every: non-positive period ", period);
     if (phase < 0)
         phase = period;
+    if (phase > kTimeNever - now_)
+        MERCURY_PANIC("Simulator::every: phase ", phase, " from now ",
+                      now_, " passes kTimeNever");
     size_t index = chains_.size();
     chains_.push_back(Chain{std::move(fn), period, now_ + phase});
     arm(index);
@@ -99,7 +105,9 @@ Simulator::runUntil(SimTime deadline)
            queue_.nextTime() <= deadline) {
         step();
     }
-    if (!stopRequested_ && now_ < deadline)
+    // Only a finite deadline parks the clock: an idle clock at
+    // kTimeNever would overflow the next after() or every().
+    if (!stopRequested_ && deadline != kTimeNever && now_ < deadline)
         now_ = deadline;
 }
 

@@ -41,22 +41,27 @@ class Simulator
     /** Schedule at an absolute time (must not be in the past). */
     EventId at(SimTime when, Callback fn);
 
-    /** Schedule after a relative delay (>= 0). */
+    /** Schedule after a relative delay (>= 0; now + delay must not
+     *  pass kTimeNever). */
     EventId after(SimTime delay, Callback fn);
 
     /**
      * Schedule @p fn every @p period. The first firing is at
      * now + @p phase (default: one full period, matching how the
-     * suite's daemons wake up *after* their first interval). The
-     * returned id cancels the *chain* (valid across re-arms, and from
-     * inside the chain's own body).
+     * suite's daemons wake up *after* their first interval), which
+     * must not pass kTimeNever. The returned id cancels the *chain*
+     * (valid across re-arms, and from inside the chain's own body).
      */
     EventId every(SimTime period, PeriodicFn fn, SimTime phase = -1);
 
     /** Cancel an event or a periodic chain. */
     void cancel(EventId id);
 
-    /** Run until the queue drains or the given time is passed. */
+    /**
+     * Run until the queue drains or the given time is passed. A finite
+     * @p deadline then becomes the clock; kTimeNever leaves the clock
+     * at the last event.
+     */
     void runUntil(SimTime deadline);
 
     /** Run until the queue drains completely. */

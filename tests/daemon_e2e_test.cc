@@ -8,36 +8,24 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/solver.hh"
+#include "daemon_harness.hh"
 #include "graphdot/parser.hh"
 #include "monitor/monitord.hh"
 #include "proto/solver_daemon.hh"
-#include "sensor/client.hh"
 #include "sensor/sensor_api.hh"
 #include "state/checkpoint.hh"
 
-#ifndef MERCURY_CONFIG_DIR
-#define MERCURY_CONFIG_DIR "configs"
-#endif
-#ifndef MERCURY_SOLVERD_BIN
-#define MERCURY_SOLVERD_BIN "mercury_solverd"
-#endif
-
 namespace mercury {
 namespace {
+
+using namespace test;
 
 TEST(DaemonE2E, MonitordSensorAndFiddleOverUdp)
 {
@@ -54,12 +42,12 @@ TEST(DaemonE2E, MonitordSensorAndFiddleOverUdp)
     auto source = std::make_unique<monitor::SyntheticSource>();
     source->addComponent("cpu", [](double) { return 0.8; });
     source->addComponent("disk", [](double) { return 0.3; });
-    auto socket = std::make_shared<net::UdpSocket>();
-    net::Endpoint endpoint{*net::resolveHost("127.0.0.1"), daemon.port()};
-    monitor::Monitord monitord(
-        "m1", std::move(source),
-        monitor::Monitord::udpSink(socket, endpoint));
+    monitor::UpdateBatcher batcher(
+        std::make_shared<net::UdpSocket>(),
+        {*net::resolveHost("127.0.0.1"), daemon.port()});
+    monitor::Monitord monitord("m1", std::move(source), batcher.sink());
     monitord.tick(1.0);
+    batcher.flush();
 
     // UDP is asynchronous: wait for the updates to land.
     for (int i = 0; i < 200; ++i) {
@@ -238,29 +226,19 @@ TEST(ShippedConfigs, Table1ClusterFileBuildsAWorkingSolver)
 
 TEST(DaemonE2E, SigtermAsSoonAsThePortFileAppearsIsGraceful)
 {
-    std::string tag = std::to_string(::getpid());
-    std::string port_file = "/tmp/mercury_daemon_e2e." + tag + ".port";
-    std::string checkpoint = "/tmp/mercury_daemon_e2e." + tag + ".ck";
-    std::string segment = "/mercury_daemon_e2e." + tag;
+    std::string port_file = tempPath("sigterm.port");
+    std::string checkpoint = tempPath("sigterm.ck");
+    std::string segment = "/mercury_daemon_e2e." + std::to_string(::getpid());
     std::remove(port_file.c_str());
     std::remove(checkpoint.c_str());
     std::string config = std::string(MERCURY_CONFIG_DIR) +
                          "/table1_cluster.dot";
-    std::vector<std::string> command = {
-        MERCURY_SOLVERD_BIN, "--config", config, "--port", "0",
-        "--port-file", port_file, "--checkpoint-path", checkpoint,
-        "--shm-name", segment, "--iteration-seconds", "0.05"};
-
-    pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        std::vector<char *> argv;
-        for (std::string &arg : command)
-            argv.push_back(arg.data());
-        argv.push_back(nullptr);
-        ::execv(argv[0], argv.data());
-        ::_exit(127);
-    }
+    ProcessGuard solverd;
+    solverd.pid = spawn({MERCURY_SOLVERD_BIN, "--config", config,
+                         "--port", "0", "--port-file", port_file,
+                         "--checkpoint-path", checkpoint, "--shm-name",
+                         segment, "--iteration-seconds", "0.05"});
+    ASSERT_GT(solverd.pid, 0);
 
     // Signal the moment the file exists: the daemon must already be
     // committed to the graceful path by then.
@@ -274,22 +252,14 @@ TEST(DaemonE2E, SigtermAsSoonAsThePortFileAppearsIsGraceful)
         }
         std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    pid_t reaped = 0;
-    deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline &&
-           (reaped = ::waitpid(pid, &status, WNOHANG)) == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    if (reaped != pid) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, nullptr, 0);
-    }
+    ::kill(solverd.pid, SIGTERM);
+    auto status = waitForExit(solverd.pid, 20.0);
     ASSERT_TRUE(appeared) << "no port file from " << MERCURY_SOLVERD_BIN;
-    ASSERT_EQ(reaped, pid) << "solverd ignored SIGTERM";
-    ASSERT_TRUE(WIFEXITED(status)) << "killed by signal "
-                                   << WTERMSIG(status);
-    EXPECT_EQ(WEXITSTATUS(status), 0);
+    ASSERT_TRUE(status.has_value()) << "solverd ignored SIGTERM";
+    solverd.disarm();
+    ASSERT_TRUE(WIFEXITED(*status)) << "killed by signal "
+                                    << WTERMSIG(*status);
+    EXPECT_EQ(WEXITSTATUS(*status), 0);
 
     // The final checkpoint was written and restores into a solver
     // built from the same config.

@@ -459,22 +459,26 @@ TEST_F(FaultFixture, PeriodicStatsCoverSequenceGaps)
 
 TEST(UdpSocketRebind, RetriesUntilALingeringHolderReleasesThePort)
 {
-    const uint16_t port =
-        static_cast<uint16_t>(45000 + (::getpid() % 10000));
-
     // A holder *without* SO_REUSEADDR, the worst case a supervised
     // restart can meet: the new daemon's bind gets EADDRINUSE until
-    // the old socket goes away.
+    // the old socket goes away. It takes whatever port the kernel
+    // hands out, and the taker then asks for that one.
     int holder = ::socket(AF_INET, SOCK_DGRAM, 0);
     ASSERT_GE(holder, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    addr.sin_port = htons(port);
+    addr.sin_port = 0;
     ASSERT_EQ(::bind(holder, reinterpret_cast<sockaddr *>(&addr),
                      sizeof(addr)),
               0)
         << std::strerror(errno);
+    socklen_t length = sizeof(addr);
+    ASSERT_EQ(::getsockname(holder, reinterpret_cast<sockaddr *>(&addr),
+                            &length),
+              0)
+        << std::strerror(errno);
+    const uint16_t port = ntohs(addr.sin_port);
 
     std::thread releaser([holder] {
         std::this_thread::sleep_for(std::chrono::milliseconds(400));

@@ -10,150 +10,23 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/solver.hh"
+#include "daemon_harness.hh"
 #include "monitor/monitord.hh"
-#include "net/udp.hh"
-#include "sensor/client.hh"
 #include "state/checkpoint.hh"
-
-#ifndef MERCURY_CONFIG_DIR
-#define MERCURY_CONFIG_DIR "configs"
-#endif
-#ifndef MERCURY_SOLVERD_BIN
-#define MERCURY_SOLVERD_BIN "mercury_solverd"
-#endif
-#ifndef MERCURY_SUPERVISORD_BIN
-#define MERCURY_SUPERVISORD_BIN "mercury_supervisord"
-#endif
 
 namespace mercury {
 namespace {
 
-std::string
-tempPath(const std::string &tag)
-{
-    return "/tmp/mercury_recovery_test." + tag + "." +
-           std::to_string(::getpid());
-}
-
-pid_t
-spawn(const std::vector<std::string> &command)
-{
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        std::vector<char *> argv;
-        for (const std::string &arg : command)
-            argv.push_back(const_cast<char *>(arg.c_str()));
-        argv.push_back(nullptr);
-        ::execv(argv[0], argv.data());
-        ::_exit(127);
-    }
-    return pid;
-}
-
-/** Kills and reaps the process on scope exit unless already reaped. */
-struct ProcessGuard
-{
-    pid_t pid = -1;
-    ~ProcessGuard()
-    {
-        if (pid > 0) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, nullptr, 0);
-        }
-    }
-    void disarm() { pid = -1; }
-};
-
-/** Wait for @p pid to exit; returns its status, or nullopt on timeout. */
-std::optional<int>
-waitForExit(pid_t pid, double timeout_seconds)
-{
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(timeout_seconds);
-    while (std::chrono::steady_clock::now() < deadline) {
-        int status = 0;
-        pid_t got = ::waitpid(pid, &status, WNOHANG);
-        if (got == pid)
-            return status;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return std::nullopt;
-}
-
-/** First live process whose parent is @p parent (scans /proc). */
-pid_t
-findChildOf(pid_t parent)
-{
-    DIR *proc = ::opendir("/proc");
-    if (!proc)
-        return -1;
-    pid_t found = -1;
-    while (dirent *entry = ::readdir(proc)) {
-        std::string name = entry->d_name;
-        if (name.empty() || name.find_first_not_of("0123456789") !=
-                                std::string::npos) {
-            continue;
-        }
-        std::ifstream stat("/proc/" + name + "/stat");
-        std::string line;
-        if (!std::getline(stat, line))
-            continue;
-        // Fields after the parenthesized command: state, then ppid.
-        size_t close = line.rfind(')');
-        if (close == std::string::npos)
-            continue;
-        std::istringstream rest(line.substr(close + 1));
-        std::string state;
-        long ppid = 0;
-        rest >> state >> ppid;
-        if (ppid == parent) {
-            found = static_cast<pid_t>(std::stol(name));
-            break;
-        }
-    }
-    ::closedir(proc);
-    return found;
-}
-
-/** Value of a "key=value" field inside a stats line, or -1. */
-long long
-statsField(const std::string &stats, const std::string &key)
-{
-    size_t pos = stats.find(key + "=");
-    if (pos == std::string::npos ||
-        (pos != 0 && stats[pos - 1] != ' ')) {
-        return -1;
-    }
-    pos += key.size() + 1;
-    size_t end = stats.find(' ', pos);
-    try {
-        return std::stoll(stats.substr(pos, end - pos));
-    } catch (...) {
-        return -1;
-    }
-}
+using namespace test;
 
 TEST(RecoveryE2E, Kill9MidRunRestartsFromCheckpointAndReplaysBacklog)
 {
-    const uint16_t port =
-        static_cast<uint16_t>(42000 + (::getpid() % 10000));
+    const uint16_t port = freeUdpPorts(1)[0];
     const std::string checkpoint_path = tempPath("chaos");
     std::remove(checkpoint_path.c_str());
 
@@ -194,11 +67,11 @@ TEST(RecoveryE2E, Kill9MidRunRestartsFromCheckpointAndReplaysBacklog)
     // outage backlog enabled.
     auto source = std::make_unique<monitor::SyntheticSource>();
     source->addComponent("cpu", [](double) { return 1.0; });
-    auto socket = std::make_shared<net::UdpSocket>();
-    net::Endpoint solver_endpoint{*net::resolveHost("127.0.0.1"), port};
-    monitor::Monitord monitord(
-        "server", std::move(source),
-        monitor::Monitord::udpSink(socket, solver_endpoint));
+    monitor::UpdateBatcher batcher(
+        std::make_shared<net::UdpSocket>(),
+        {*net::resolveHost("127.0.0.1"), port});
+    monitor::Monitord monitord("server", std::move(source),
+                               batcher.sink());
     monitord.enableBacklog({600, monitor::Monitord::GapFillPolicy::Replay});
 
     double tick_clock = 0.0;
@@ -206,6 +79,7 @@ TEST(RecoveryE2E, Kill9MidRunRestartsFromCheckpointAndReplaysBacklog)
         for (int i = 0; i < rounds; ++i) {
             monitord.setOnline(probe.fiddle("stats").first);
             monitord.tick(tick_clock);
+            batcher.flush();
             tick_clock += 1.0;
             std::this_thread::sleep_for(std::chrono::milliseconds(40));
         }

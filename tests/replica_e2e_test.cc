@@ -11,184 +11,23 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/solver.hh"
+#include "daemon_harness.hh"
 #include "monitor/monitord.hh"
-#include "net/udp.hh"
 #include "proto/solver_service.hh"
 #include "proto/wal_codec.hh"
 #include "replica/wal.hh"
-#include "sensor/client.hh"
 #include "state/checkpoint.hh"
-
-#ifndef MERCURY_CONFIG_DIR
-#define MERCURY_CONFIG_DIR "configs"
-#endif
-#ifndef MERCURY_SOLVERD_BIN
-#define MERCURY_SOLVERD_BIN "mercury_solverd"
-#endif
-#ifndef MERCURY_SUPERVISORD_BIN
-#define MERCURY_SUPERVISORD_BIN "mercury_supervisord"
-#endif
 
 namespace mercury {
 namespace {
 
-std::string
-tempPath(const std::string &tag)
-{
-    return "/tmp/mercury_replica_e2e." + tag + "." +
-           std::to_string(::getpid());
-}
-
-pid_t
-spawn(const std::vector<std::string> &command)
-{
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        std::vector<char *> argv;
-        for (const std::string &arg : command)
-            argv.push_back(const_cast<char *>(arg.c_str()));
-        argv.push_back(nullptr);
-        ::execv(argv[0], argv.data());
-        ::_exit(127);
-    }
-    return pid;
-}
-
-/** Kills and reaps the process on scope exit unless already reaped. */
-struct ProcessGuard
-{
-    pid_t pid = -1;
-    ~ProcessGuard()
-    {
-        if (pid > 0) {
-            ::kill(pid, SIGKILL);
-            ::waitpid(pid, nullptr, 0);
-        }
-    }
-    void disarm() { pid = -1; }
-};
-
-/** Wait for @p pid to exit; returns its status, or nullopt on timeout. */
-std::optional<int>
-waitForExit(pid_t pid, double timeout_seconds)
-{
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(timeout_seconds);
-    while (std::chrono::steady_clock::now() < deadline) {
-        int status = 0;
-        pid_t got = ::waitpid(pid, &status, WNOHANG);
-        if (got == pid)
-            return status;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    return std::nullopt;
-}
-
-/**
- * Live child of @p parent whose /proc cmdline has @p arg_value right
- * after @p arg_name. Disambiguates the two solverds an HA supervisor
- * runs (findChildOf alone would be a coin flip).
- */
-pid_t
-findChildWithArg(pid_t parent, const std::string &arg_name,
-                 const std::string &arg_value)
-{
-    DIR *proc = ::opendir("/proc");
-    if (!proc)
-        return -1;
-    pid_t found = -1;
-    while (dirent *entry = ::readdir(proc)) {
-        std::string name = entry->d_name;
-        if (name.empty() ||
-            name.find_first_not_of("0123456789") != std::string::npos) {
-            continue;
-        }
-        std::ifstream stat("/proc/" + name + "/stat");
-        std::string line;
-        if (!std::getline(stat, line))
-            continue;
-        size_t close = line.rfind(')');
-        if (close == std::string::npos)
-            continue;
-        std::istringstream rest(line.substr(close + 1));
-        std::string state;
-        long ppid = 0;
-        rest >> state >> ppid;
-        if (ppid != parent)
-            continue;
-
-        std::ifstream cmdline_file("/proc/" + name + "/cmdline");
-        std::string cmdline((std::istreambuf_iterator<char>(cmdline_file)),
-                            std::istreambuf_iterator<char>());
-        std::vector<std::string> argv;
-        size_t start = 0;
-        while (start < cmdline.size()) {
-            size_t end = cmdline.find('\0', start);
-            if (end == std::string::npos)
-                end = cmdline.size();
-            argv.push_back(cmdline.substr(start, end - start));
-            start = end + 1;
-        }
-        for (size_t i = 0; i + 1 < argv.size(); ++i) {
-            if (argv[i] == arg_name && argv[i + 1] == arg_value) {
-                found = static_cast<pid_t>(std::stol(name));
-                break;
-            }
-        }
-        if (found > 0)
-            break;
-    }
-    ::closedir(proc);
-    return found;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    while (!content.empty() &&
-           (content.back() == '\n' || content.back() == '\r')) {
-        content.pop_back();
-    }
-    return content;
-}
-
-/** Poll `fiddle replica` on @p probe until the line contains @p want. */
-bool
-waitForReplicaLine(sensor::SensorClient &probe, const std::string &want,
-                   double timeout_seconds, std::string *last = nullptr)
-{
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration<double>(timeout_seconds);
-    while (std::chrono::steady_clock::now() < deadline) {
-        auto [ok, line] = probe.fiddle("replica");
-        if (last)
-            *last = line;
-        if (ok && line.find(want) != std::string::npos)
-            return true;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    return false;
-}
+using namespace test;
 
 std::string
 configPath()
@@ -198,13 +37,16 @@ configPath()
 
 TEST(ReplicaE2E, Kill9PromotesStandbyWithinLeaseAndBitwiseMatchesWal)
 {
-    const uint16_t primary_port =
-        static_cast<uint16_t>(52000 + (::getpid() % 5000));
-    const uint16_t standby_port = primary_port + 1;
-    const uint16_t replication_port = primary_port + 2;
+    // The standby writes its port file only when it promotes, so its
+    // serving port is named up front, like the replication port.
+    const std::vector<uint16_t> ports = freeUdpPorts(2);
+    const uint16_t standby_port = ports[0];
+    const uint16_t replication_port = ports[1];
+    const std::string port_file = tempPath("failover.port");
     const std::string wal_path = tempPath("failover.wal");
     const std::string checkpoint_path = tempPath("failover.ck");
     const double lease_seconds = 1.0;
+    std::remove(port_file.c_str());
     std::remove(wal_path.c_str());
     std::remove((wal_path + ".old").c_str());
     std::remove(checkpoint_path.c_str());
@@ -213,7 +55,8 @@ TEST(ReplicaE2E, Kill9PromotesStandbyWithinLeaseAndBitwiseMatchesWal)
     primary.pid = spawn({
         MERCURY_SOLVERD_BIN,
         "--config", configPath(),
-        "--port", std::to_string(primary_port),
+        "--port", "0",
+        "--port-file", port_file,
         "--iteration-seconds", "0.02",
         "--replication-port", std::to_string(replication_port),
         "--replica-heartbeat-seconds", "0.1",
@@ -223,6 +66,13 @@ TEST(ReplicaE2E, Kill9PromotesStandbyWithinLeaseAndBitwiseMatchesWal)
     });
     ASSERT_GT(primary.pid, 0);
 
+    uint16_t primary_port = 0;
+    for (int i = 0; i < 400 && primary_port == 0; ++i) {
+        primary_port =
+            static_cast<uint16_t>(std::atoi(readFile(port_file).c_str()));
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_GT(primary_port, 0) << "primary never wrote " << port_file;
     sensor::SensorClient primary_probe(
         std::make_unique<sensor::UdpTransport>("127.0.0.1", primary_port,
                                                0.1, 1),
@@ -267,18 +117,18 @@ TEST(ReplicaE2E, Kill9PromotesStandbyWithinLeaseAndBitwiseMatchesWal)
     source->addComponent("cpu", [](double t) {
         return 0.25 + 0.5 * (long(t) % 3 == 0);
     });
-    auto socket = std::make_shared<net::UdpSocket>();
-    net::Endpoint primary_endpoint{*net::resolveHost("127.0.0.1"),
-                                   primary_port};
-    monitor::Monitord monitord(
-        "server", std::move(source),
-        monitor::Monitord::udpSink(socket, primary_endpoint));
+    monitor::UpdateBatcher batcher(
+        std::make_shared<net::UdpSocket>(),
+        {*net::resolveHost("127.0.0.1"), primary_port});
+    monitor::Monitord monitord("server", std::move(source),
+                               batcher.sink());
 
     double tick_clock = 0.0;
     auto tick = [&](int rounds) {
         for (int i = 0; i < rounds; ++i) {
             monitord.setOnline(true);
             monitord.tick(tick_clock);
+            batcher.flush();
             tick_clock += 1.0;
             std::this_thread::sleep_for(std::chrono::milliseconds(40));
         }
@@ -395,6 +245,7 @@ TEST(ReplicaE2E, Kill9PromotesStandbyWithinLeaseAndBitwiseMatchesWal)
     EXPECT_EQ(final_state.machines[0].energyConsumed,
               want.machines[0].energyConsumed);
 
+    std::remove(port_file.c_str());
     std::remove(wal_path.c_str());
     std::remove((wal_path + ".old").c_str());
     std::remove(checkpoint_path.c_str());
@@ -402,12 +253,14 @@ TEST(ReplicaE2E, Kill9PromotesStandbyWithinLeaseAndBitwiseMatchesWal)
 
 TEST(ReplicaE2E, SupervisordHaPairFlipsThePortFileOnFailover)
 {
-    const uint16_t primary_port =
-        static_cast<uint16_t>(57100 + (::getpid() % 5000));
-    const uint16_t standby_port = primary_port + 1;
-    const uint16_t replication_port = primary_port + 2;
+    const std::vector<uint16_t> ports = freeUdpPorts(3);
+    const uint16_t primary_port = ports[0];
+    const uint16_t standby_port = ports[1];
+    const uint16_t replication_port = ports[2];
     const std::string port_file = tempPath("portfile");
+    const std::string metrics_file = tempPath("supervisor.prom");
     std::remove(port_file.c_str());
+    std::remove(metrics_file.c_str());
 
     ProcessGuard supervisor;
     supervisor.pid = spawn({
@@ -415,6 +268,7 @@ TEST(ReplicaE2E, SupervisordHaPairFlipsThePortFileOnFailover)
         "--solver-port", std::to_string(primary_port),
         "--standby-solver-port", std::to_string(standby_port),
         "--port-file", port_file,
+        "--metrics-path", metrics_file,
         "--probe-seconds", "0.2",
         "--stall-seconds", "30",
         "--initial-backoff", "0.5",
@@ -467,8 +321,8 @@ TEST(ReplicaE2E, SupervisordHaPairFlipsThePortFileOnFailover)
 
     // kill -9 the primary solverd (identified by its --port argument,
     // since the supervisor has two solverd children).
-    pid_t primary_pid = findChildWithArg(supervisor.pid, "--port",
-                                         std::to_string(primary_port));
+    pid_t primary_pid = findChildOf(supervisor.pid, "--port",
+                                    std::to_string(primary_port));
     ASSERT_GT(primary_pid, 0) << "cannot find the primary child";
     ASSERT_EQ(::kill(primary_pid, SIGKILL), 0);
 
@@ -493,7 +347,92 @@ TEST(ReplicaE2E, SupervisordHaPairFlipsThePortFileOnFailover)
     ASSERT_TRUE(WIFEXITED(*status));
     EXPECT_EQ(WEXITSTATUS(*status), 0);
 
+    // HA mode writes --metrics-path too, last at shutdown.
+    std::string metrics = readFile(metrics_file) + "\n";
+    EXPECT_NE(metrics.find("\nsupervisor_failovers_total 1\n"),
+              std::string::npos)
+        << "metrics file: '" << metrics << "'";
+
     std::remove(port_file.c_str());
+    std::remove(metrics_file.c_str());
+}
+
+TEST(ReplicaE2E, FailoverDoesNotWaitOutTheStandbysBackoff)
+{
+    // The standby command exits at once (its config does not exist),
+    // so the standby sits out a 10 s restart backoff when the primary
+    // dies. The supervisor must keep watching the primary meanwhile,
+    // flip the port file at once and start the standby right away.
+    const std::vector<uint16_t> ports = freeUdpPorts(2);
+    const uint16_t primary_port = ports[0];
+    const uint16_t standby_port = ports[1];
+    const std::string port_file = tempPath("backoff.port");
+    const std::string metrics_file = tempPath("backoff.prom");
+    std::remove(port_file.c_str());
+    std::remove(metrics_file.c_str());
+
+    ProcessGuard supervisor;
+    supervisor.pid = spawn({
+        MERCURY_SUPERVISORD_BIN,
+        "--solver-port", std::to_string(primary_port),
+        "--standby-solver-port", std::to_string(standby_port),
+        "--port-file", port_file,
+        "--metrics-path", metrics_file,
+        "--probe-seconds", "0",
+        "--initial-backoff", "10",
+        "--max-backoff", "10",
+        "--",
+        MERCURY_SOLVERD_BIN,
+        "--config", configPath(),
+        "--port", std::to_string(primary_port),
+        "--iteration-seconds", "0.02",
+        "--no-shm",
+        "---",
+        MERCURY_SOLVERD_BIN,
+        "--config", tempPath("missing.dot"),
+        "--port", std::to_string(standby_port),
+        "--no-shm",
+    });
+    ASSERT_GT(supervisor.pid, 0);
+
+    // The standby's exit is counted before its backoff starts.
+    bool backing_off = false;
+    for (int i = 0; i < 200 && !backing_off; ++i) {
+        backing_off = (readFile(metrics_file) + "\n")
+                          .find("\nsupervisor_restarts_total 1\n") !=
+                      std::string::npos;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_TRUE(backing_off) << readFile(metrics_file);
+    ASSERT_EQ(readFile(port_file), std::to_string(primary_port));
+
+    pid_t primary_pid = findChildOf(supervisor.pid, "--port",
+                                    std::to_string(primary_port));
+    ASSERT_GT(primary_pid, 0) << "cannot find the primary child";
+    ASSERT_EQ(::kill(primary_pid, SIGKILL), 0);
+    auto kill_time = std::chrono::steady_clock::now();
+    bool flipped = false;
+    for (int i = 0; i < 300 && !flipped; ++i) {
+        flipped = readFile(port_file) == std::to_string(standby_port);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    double flip_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      kill_time)
+            .count();
+    ASSERT_TRUE(flipped) << "port-file never flipped: '"
+                         << readFile(port_file) << "'";
+    EXPECT_LE(flip_seconds, 3.0);
+
+    ASSERT_EQ(::kill(supervisor.pid, SIGTERM), 0);
+    auto status = waitForExit(supervisor.pid, 15.0);
+    ASSERT_TRUE(status.has_value()) << "supervisor did not exit";
+    supervisor.disarm();
+    ASSERT_TRUE(WIFEXITED(*status));
+    EXPECT_EQ(WEXITSTATUS(*status), 0);
+
+    std::remove(port_file.c_str());
+    std::remove(metrics_file.c_str());
 }
 
 } // namespace

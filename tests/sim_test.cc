@@ -276,6 +276,29 @@ TEST(Simulator, RunUntilNeverReturnsOnEmptyQueue)
     EXPECT_EQ(drained.eventsRun(), 1u);
 }
 
+TEST(Simulator, RunUntilNeverLeavesTheClockUsable)
+{
+    Simulator simulator;
+    simulator.runUntil(kTimeNever);
+    EXPECT_EQ(simulator.now(), 0);
+    SimTime fired_at = -1;
+    simulator.after(seconds(1), [&] { fired_at = simulator.now(); });
+    simulator.runToCompletion();
+    EXPECT_EQ(fired_at, seconds(1));
+}
+
+TEST(SimulatorDeathTest, SchedulingPastTheEndOfTimeDies)
+{
+    Simulator simulator;
+    simulator.at(seconds(5), [] {});
+    simulator.runToCompletion();
+    EXPECT_DEATH(simulator.after(kTimeNever, [] {}), "passes kTimeNever");
+    EXPECT_DEATH(simulator.every(
+                     seconds(1), [] { return true; }, kTimeNever),
+                 "passes kTimeNever");
+    simulator.after(kTimeNever - seconds(5), [] {}); // exactly the end
+}
+
 TEST(Simulator, RunUntilAdvancesClockWhenIdle)
 {
     Simulator simulator;
