@@ -2,7 +2,7 @@
  * @file
  * Cost of the metrics hot path. The registry's promise is that
  * instrumenting a daemon's inner loops is effectively free: a counter
- * increment is one relaxed fetch_add (scripts/run_bench_metrics.sh
+ * increment is one relaxed fetch_add (scripts/bench.py
  * gates it under 50 ns), a histogram observation is a short bucket
  * scan plus two relaxed atomics, and the only mutex in the subsystem
  * is taken at registration/render time — never on the increment path.

@@ -4,8 +4,9 @@
  * WAL + hot-standby subsystem is that logging and streaming mutations
  * costs at most 5% of iteration time at 1024 machines.
  *
- * Three runs over the identical workload (N iterations, M utilization
- * mutations applied per iteration, 1024-machine fleet):
+ * Three rows over the identical workload (kIterations measured
+ * iterations after kWarmup unmeasured ones, kMutations utilization
+ * mutations applied per iteration, kMachines-machine fleet):
  *
  *   base        solver only — apply mutations, iterate
  *   wal         + encode each mutation and append/flush it to a WAL
@@ -15,22 +16,18 @@
  * The standby pumps and acks from its own thread, so the primary-side
  * numbers include real socket traffic (sends, ack drains, heartbeats)
  * but not the standby's work — exactly the cost the daemon's solver
- * thread pays in production.
- *
- * Emits machine-readable JSON on stdout (progress goes to stderr):
- *
- *   build/bench/bench_replica > BENCH_replica.json
- *
- * scripts/run_bench_replica.sh wraps this and enforces the overhead
- * ceiling (MERCURY_WAL_OVERHEAD_MAX, default 0.05).
+ * thread pays in production. One benchmark iteration is one solver
+ * iteration; scripts/bench.py gates (wal - base) / base and
+ * (replicated - base) / base on the median real time.
  */
+
+#include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <unistd.h>
 
@@ -42,12 +39,18 @@
 #include "replica/standby.hh"
 #include "replica/wal.hh"
 #include "state/checkpoint.hh"
-#include "util/flags.hh"
 
 using namespace mercury;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+constexpr unsigned kMachines = 1024;
+constexpr unsigned kIterations = 150;
+constexpr unsigned kMutations = 64;
+constexpr unsigned kWarmup = 20;
+
+enum class Mode { Base, Wal, Replicated };
 
 double
 secondsSince(Clock::time_point start)
@@ -55,49 +58,17 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-enum class Mode { Base, Wal, Replicated };
-
-const char *
-modeName(Mode mode)
-{
-    switch (mode) {
-    case Mode::Base:
-        return "replica_base";
-    case Mode::Wal:
-        return "replica_wal";
-    case Mode::Replicated:
-        return "replica_replicated";
-    }
-    return "?";
-}
-
-struct RunResult
-{
-    Mode mode = Mode::Base;
-    uint64_t iterations = 0;
-    uint64_t records = 0;
-    double seconds = 0.0;
-    double microsPerIteration = 0.0;
-};
-
-void
-addFleet(core::Solver &solver, unsigned machines)
-{
-    for (unsigned i = 0; i < machines; ++i)
-        solver.addMachine(core::table1Server("m" + std::to_string(i)));
-}
-
 /**
  * One measured run. Every mode applies the same mutations so the
  * solver walks the same trajectory; only the logging/streaming work
  * differs between modes.
  */
-RunResult
-runOnce(Mode mode, unsigned machines, unsigned iterations,
-        unsigned mutations, unsigned warmup)
+void
+BM_Replica(benchmark::State &state, Mode mode)
 {
     core::Solver solver;
-    addFleet(solver, machines);
+    for (unsigned i = 0; i < kMachines; ++i)
+        solver.addMachine(core::table1Server("m" + std::to_string(i)));
     const uint64_t topology = state::topologyHash(solver);
 
     std::string wal_path = "/tmp/mercury.bench_replica." +
@@ -109,8 +80,8 @@ runOnce(Mode mode, unsigned machines, unsigned iterations,
         std::string error;
         wal = replica::WalWriter::create(wal_path, header, &error);
         if (!wal) {
-            std::fprintf(stderr, "bench_replica: %s\n", error.c_str());
-            std::exit(1);
+            state.SkipWithError(error.c_str());
+            return;
         }
     }
 
@@ -156,11 +127,11 @@ runOnce(Mode mode, unsigned machines, unsigned iterations,
     auto boundary = [&](uint64_t iteration_index) {
         // The drain boundary: apply this pass's mutations, logging and
         // streaming them first when the mode says so.
-        for (unsigned m = 0; m < mutations; ++m) {
+        for (unsigned m = 0; m < kMutations; ++m) {
             proto::UtilizationUpdate update;
             update.machine =
-                "m" + std::to_string((iteration_index * mutations + m) %
-                                     machines);
+                "m" + std::to_string((iteration_index * kMutations + m) %
+                                     kMachines);
             update.component = "cpu";
             update.utilization =
                 0.25 + 0.5 * double((iteration_index + m) % 3 == 0);
@@ -190,17 +161,16 @@ runOnce(Mode mode, unsigned machines, unsigned iterations,
         }
     };
 
-    for (unsigned i = 0; i < warmup; ++i) {
-        boundary(i);
+    uint64_t iteration_index = 0;
+    for (; iteration_index < kWarmup; ++iteration_index) {
+        boundary(iteration_index);
         solver.iterate();
     }
-
-    auto start = Clock::now();
-    for (unsigned i = 0; i < iterations; ++i) {
-        boundary(warmup + i);
+    records = 0;
+    for (auto _ : state) {
+        boundary(iteration_index++);
         solver.iterate();
     }
-    double elapsed = secondsSince(start);
 
     stop.store(true, std::memory_order_relaxed);
     if (standby_thread.joinable())
@@ -211,66 +181,23 @@ runOnce(Mode mode, unsigned machines, unsigned iterations,
         std::remove(wal_path.c_str());
         std::remove((wal_path + ".old").c_str());
     }
-
-    RunResult result;
-    result.mode = mode;
-    result.iterations = iterations;
-    result.records = records;
-    result.seconds = elapsed;
-    result.microsPerIteration = elapsed * 1e6 / double(iterations);
-    return result;
+    if (mode != Mode::Base)
+        state.counters["records_per_iteration"] = benchmark::Counter(
+            double(records), benchmark::Counter::kAvgIterations);
 }
+BENCHMARK_CAPTURE(BM_Replica, base, Mode::Base)
+    ->Iterations(kIterations)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Replica, wal, Mode::Wal)
+    ->Iterations(kIterations)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Replica, replicated, Mode::Replicated)
+    ->Iterations(kIterations)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    FlagSet flags("bench_replica",
-                  "steady-state WAL + replication overhead per iteration");
-    flags.defineInt("machines", 1024, "fleet size");
-    flags.defineInt("iterations", 150, "measured iterations per mode");
-    flags.defineInt("mutations", 64, "mutations applied per iteration");
-    flags.defineInt("warmup", 20, "unmeasured warmup iterations");
-    if (!flags.parse(argc, argv))
-        return 0;
-
-    unsigned machines = static_cast<unsigned>(flags.getInt("machines"));
-    unsigned iterations =
-        static_cast<unsigned>(flags.getInt("iterations"));
-    unsigned mutations = static_cast<unsigned>(flags.getInt("mutations"));
-    unsigned warmup = static_cast<unsigned>(flags.getInt("warmup"));
-    if (machines < 1 || iterations < 1) {
-        std::fprintf(stderr, "bench_replica: bad flag values\n");
-        return 1;
-    }
-
-    std::vector<RunResult> results;
-    for (Mode mode : {Mode::Base, Mode::Wal, Mode::Replicated}) {
-        std::fprintf(stderr, "bench_replica: %s...\n", modeName(mode));
-        results.push_back(
-            runOnce(mode, machines, iterations, mutations, warmup));
-        std::fprintf(stderr, "bench_replica:   %.1f us/iteration\n",
-                     results.back().microsPerIteration);
-    }
-
-    std::printf("{\n");
-    std::printf("  \"context\": {\"machines\": %u, \"iterations\": %u, "
-                "\"mutations_per_iteration\": %u, \"cores\": %ld},\n",
-                machines, iterations, mutations,
-                ::sysconf(_SC_NPROCESSORS_ONLN));
-    std::printf("  \"benchmarks\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
-        std::printf("    {\"name\": \"%s\", \"iterations\": %llu, "
-                    "\"records\": %llu, \"seconds\": %.6f, "
-                    "\"us_per_iteration\": %.3f}%s\n",
-                    modeName(r.mode),
-                    static_cast<unsigned long long>(r.iterations),
-                    static_cast<unsigned long long>(r.records),
-                    r.seconds, r.microsPerIteration,
-                    i + 1 < results.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-    return 0;
-}
+BENCHMARK_MAIN();

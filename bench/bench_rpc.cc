@@ -6,17 +6,16 @@
  * of pipelined requests in flight so both the batched receive path and
  * the batched reply path actually see batches.
  *
- * Emits machine-readable JSON on stdout (progress goes to stderr):
- *
- *   build/bench/bench_rpc > BENCH_rpc.json
- *
- * scripts/run_bench_rpc.sh wraps this and enforces the 4-worker
- * speedup gate on hosts with enough cores.
+ * One benchmark iteration is one load window of kClients clients for
+ * kSeconds. Manual time is that window, so daemon start-up and
+ * shutdown stay out of it; the requests_per_second counter is replies
+ * per second of window. scripts/bench.py gates the 4-worker speedup on
+ * that counter.
  */
 
-#include <atomic>
+#include <benchmark/benchmark.h>
+
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,12 +28,15 @@
 #include "net/udp.hh"
 #include "proto/messages.hh"
 #include "proto/solver_daemon.hh"
-#include "util/flags.hh"
 
 using namespace mercury;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+constexpr unsigned kClients = 8;
+constexpr size_t kWindow = 16;
+constexpr double kSeconds = 0.5;
 
 double
 secondsSince(Clock::time_point start)
@@ -43,28 +45,27 @@ secondsSince(Clock::time_point start)
 }
 
 /**
- * One closed-loop client: keep @p window SensorRequests in flight,
+ * One closed-loop client: keep kWindow SensorRequests in flight,
  * count completed replies until the deadline. Replies lost by the
  * kernel under overload simply age out of the window (0.25 s), so the
  * loop never wedges on a dropped datagram.
  */
 uint64_t
-clientLoop(uint16_t port, const std::string &machine, size_t window,
-           double seconds)
+clientLoop(uint16_t port, const std::string &machine)
 {
     net::UdpSocket socket;
     net::Endpoint solver{*net::resolveHost("127.0.0.1"), port};
 
-    std::vector<proto::Packet> packets(window);
-    std::vector<net::UdpSocket::SendDatagram> items(window);
-    std::vector<uint8_t> buffers(window * proto::kMessageSize);
-    std::vector<net::UdpSocket::RecvDatagram> metas(window);
+    std::vector<proto::Packet> packets(kWindow);
+    std::vector<net::UdpSocket::SendDatagram> items(kWindow);
+    std::vector<uint8_t> buffers(kWindow * proto::kMessageSize);
+    std::vector<net::UdpSocket::RecvDatagram> metas(kWindow);
 
     uint64_t completed = 0;
     uint32_t request_id = 1;
     auto start = Clock::now();
-    while (secondsSince(start) < seconds) {
-        for (size_t i = 0; i < window; ++i) {
+    while (secondsSince(start) < kSeconds) {
+        for (size_t i = 0; i < kWindow; ++i) {
             proto::SensorRequest request;
             request.requestId = request_id++;
             request.machine = machine;
@@ -74,17 +75,17 @@ clientLoop(uint16_t port, const std::string &machine, size_t window,
             items[i].data = packets[i].data();
             items[i].length = packets[i].size();
         }
-        if (socket.sendMany(items.data(), window) == 0)
+        if (socket.sendMany(items.data(), kWindow) == 0)
             break; // route gone; don't spin
         size_t got = 0;
         auto wait_start = Clock::now();
-        while (got < window) {
+        while (got < kWindow) {
             double remaining = 0.25 - secondsSince(wait_start);
             if (remaining <= 0.0)
                 break;
             size_t n = socket.recvMany(buffers.data(),
                                        proto::kMessageSize, metas.data(),
-                                       window - got, remaining);
+                                       kWindow - got, remaining);
             if (n == 0)
                 break;
             got += n;
@@ -94,24 +95,15 @@ clientLoop(uint16_t port, const std::string &machine, size_t window,
     return completed;
 }
 
-struct RunResult
+/** range(0) serve workers; range(1) != 0 batches the syscalls. */
+void
+BM_RequestPlane(benchmark::State &state)
 {
-    unsigned serveThreads = 0;
-    bool batched = false;
-    uint64_t replies = 0;
-    double seconds = 0.0;
-    double requestsPerSecond = 0.0;
-};
-
-RunResult
-runOnce(unsigned serve_threads, bool batched, unsigned clients,
-        size_t window, double seconds, int run_index)
-{
-    net::setBatchSyscallsEnabled(batched);
+    net::setBatchSyscallsEnabled(state.range(1) != 0);
 
     core::Solver solver;
     std::vector<std::string> machines;
-    for (unsigned i = 0; i < clients; ++i) {
+    for (unsigned i = 0; i < kClients; ++i) {
         machines.push_back("m" + std::to_string(i));
         solver.addMachine(core::table1Server(machines.back()));
     }
@@ -119,11 +111,10 @@ runOnce(unsigned serve_threads, bool batched, unsigned clients,
     metrics::Registry registry;
     proto::SolverDaemon::Config config;
     config.port = 0;
-    config.serveThreads = serve_threads;
+    config.serveThreads = static_cast<unsigned>(state.range(0));
     config.iterationSeconds = 0.0;
     config.statsLogSeconds = 0.0;
-    config.shmName = "/mercury.bench_rpc." + std::to_string(::getpid()) +
-                     "." + std::to_string(run_index);
+    config.shmName = "/mercury.bench_rpc." + std::to_string(::getpid());
     config.registry = &registry;
     proto::SolverDaemon daemon(solver, config);
     std::thread server([&] { daemon.run(); });
@@ -132,88 +123,37 @@ runOnce(unsigned serve_threads, bool batched, unsigned clients,
     // from the shared-memory snapshot (the steady-state fast path).
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
 
-    std::vector<uint64_t> completed(clients, 0);
-    std::vector<std::thread> threads;
-    auto start = Clock::now();
-    for (unsigned i = 0; i < clients; ++i) {
-        threads.emplace_back([&, i] {
-            completed[i] =
-                clientLoop(daemon.port(), machines[i], window, seconds);
-        });
+    uint64_t replies = 0;
+    double seconds = 0.0;
+    for (auto _ : state) {
+        std::vector<uint64_t> completed(kClients, 0);
+        std::vector<std::thread> threads;
+        auto start = Clock::now();
+        for (unsigned i = 0; i < kClients; ++i) {
+            threads.emplace_back([&, i] {
+                completed[i] = clientLoop(daemon.port(), machines[i]);
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+        double elapsed = secondsSince(start);
+        state.SetIterationTime(elapsed);
+        seconds += elapsed;
+        for (uint64_t n : completed)
+            replies += n;
     }
-    for (auto &thread : threads)
-        thread.join();
-    double elapsed = secondsSince(start);
 
     daemon.stop();
     server.join();
     net::setBatchSyscallsEnabled(true);
-
-    RunResult result;
-    result.serveThreads = serve_threads;
-    result.batched = batched;
-    result.seconds = elapsed;
-    for (uint64_t n : completed)
-        result.replies += n;
-    result.requestsPerSecond = double(result.replies) / elapsed;
-    return result;
+    state.counters["requests_per_second"] = double(replies) / seconds;
 }
+BENCHMARK(BM_RequestPlane)
+    ->ArgNames({"workers", "batched"})
+    ->ArgsProduct({{1, 2, 4}, {1, 0}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    FlagSet flags("bench_rpc",
-                  "request-plane throughput at 1/2/4 serve workers");
-    flags.defineDouble("seconds", 0.5, "measured seconds per run");
-    flags.defineInt("clients", 8, "concurrent closed-loop clients");
-    flags.defineInt("window", 16, "pipelined requests per client");
-    if (!flags.parse(argc, argv))
-        return 0;
-
-    double seconds = flags.getDouble("seconds");
-    unsigned clients = static_cast<unsigned>(flags.getInt("clients"));
-    size_t window = static_cast<size_t>(flags.getInt("window"));
-    if (seconds <= 0.0 || clients < 1 || window < 1 ||
-        window > net::UdpSocket::kMaxBatch) {
-        std::fprintf(stderr, "bench_rpc: bad flag values\n");
-        return 1;
-    }
-
-    const unsigned worker_counts[] = {1, 2, 4};
-    std::vector<RunResult> results;
-    int run_index = 0;
-    for (bool batched : {true, false}) {
-        for (unsigned workers : worker_counts) {
-            std::fprintf(stderr,
-                         "bench_rpc: %u worker(s), %s syscalls...\n",
-                         workers, batched ? "batched" : "single");
-            results.push_back(runOnce(workers, batched, clients, window,
-                                      seconds, run_index++));
-            std::fprintf(stderr, "bench_rpc:   %.0f requests/s\n",
-                         results.back().requestsPerSecond);
-        }
-    }
-
-    std::printf("{\n");
-    std::printf("  \"context\": {\"cores\": %ld, \"clients\": %u, "
-                "\"window\": %zu, \"seconds\": %g},\n",
-                ::sysconf(_SC_NPROCESSORS_ONLN), clients, window,
-                seconds);
-    std::printf("  \"benchmarks\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-        const RunResult &r = results[i];
-        std::printf("    {\"name\": \"rpc_w%u_%s\", "
-                    "\"serve_threads\": %u, \"batch_syscalls\": %s, "
-                    "\"replies\": %llu, \"seconds\": %.6f, "
-                    "\"requests_per_second\": %.1f}%s\n",
-                    r.serveThreads, r.batched ? "batch" : "single",
-                    r.serveThreads, r.batched ? "true" : "false",
-                    static_cast<unsigned long long>(r.replies),
-                    r.seconds, r.requestsPerSecond,
-                    i + 1 < results.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-    return 0;
-}
+BENCHMARK_MAIN();

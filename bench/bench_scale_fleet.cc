@@ -5,7 +5,7 @@
  * converged, iteration cost should scale with the *active* machines
  * (plus the O(fleet) room phase), not the fleet size — a 1024-machine
  * room at steady load iterates >= 10x faster with quiescence on than
- * the classic all-machines path (scripts/run_bench_scale.sh gates on
+ * the classic all-machines path (scripts/bench.py gates on
  * exactly that ratio).
  *
  * Both sides run serial (threads = 1) so the ratio isolates the
