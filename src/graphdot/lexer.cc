@@ -1,12 +1,21 @@
 #include "graphdot/lexer.hh"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "util/strings.hh"
 
 namespace mercury {
 namespace graphdot {
+
+namespace {
+
+bool
+isDigit(char ch)
+{
+    return std::isdigit(static_cast<unsigned char>(ch));
+}
+
+} // namespace
 
 const char *
 tokenKindName(TokenKind kind)
@@ -29,29 +38,18 @@ tokenKindName(TokenKind kind)
     return "?";
 }
 
-Lexer::Lexer(std::string source)
-    : source_(std::move(source))
+Lexer::Lexer(std::string_view source)
+    : source_(source)
 {
 }
 
-char
-Lexer::peek(size_t ahead) const
-{
-    size_t at = pos_ + ahead;
-    return at < source_.size() ? source_[at] : '\0';
-}
-
-char
+void
 Lexer::advance()
 {
-    char ch = source_[pos_++];
-    if (ch == '\n') {
+    if (source_[pos_++] == '\n') {
         ++line_;
-        column_ = 1;
-    } else {
-        ++column_;
+        lineStart_ = pos_;
     }
-    return ch;
 }
 
 void
@@ -69,20 +67,21 @@ Lexer::skipWhitespaceAndComments()
         if (std::isspace(static_cast<unsigned char>(ch))) {
             advance();
         } else if (ch == '#' || (ch == '/' && peek(1) == '/')) {
-            while (!atEnd() && peek() != '\n')
-                advance();
+            // Stop at the newline; the whitespace branch counts it.
+            size_t eol = source_.find('\n', pos_);
+            pos_ = eol == std::string_view::npos ? source_.size() : eol;
         } else if (ch == '/' && peek(1) == '*') {
-            advance();
-            advance();
-            while (!atEnd() && !(peek() == '*' && peek(1) == '/'))
+            size_t close = source_.find("*/", pos_ + 2);
+            size_t stop =
+                close == std::string_view::npos ? source_.size() : close;
+            while (pos_ < stop)
                 advance();
             if (atEnd()) {
                 tokenLine_ = line_;
-                tokenColumn_ = column_;
+                tokenColumn_ = column();
                 error("unterminated block comment");
             } else {
-                advance();
-                advance();
+                pos_ += 2;
             }
         } else {
             break;
@@ -91,11 +90,11 @@ Lexer::skipWhitespaceAndComments()
 }
 
 Token
-Lexer::make(TokenKind kind, std::string text)
+Lexer::make(TokenKind kind, std::string_view text)
 {
     Token token;
     token.kind = kind;
-    token.text = std::move(text);
+    token.text = text;
     token.line = tokenLine_;
     token.column = tokenColumn_;
     return token;
@@ -104,156 +103,126 @@ Lexer::make(TokenKind kind, std::string text)
 Token
 Lexer::lexNumber()
 {
-    std::string spelling;
+    // sign? digits ('.' digits)? ([eE] sign? digits)? -- no newline
+    // can occur, so the line bookkeeping in advance() is not needed.
+    size_t start = pos_;
     if (peek() == '-' || peek() == '+')
-        spelling += advance();
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-        spelling += advance();
+        ++pos_;
+    while (isDigit(peek()))
+        ++pos_;
     if (peek() == '.') {
-        spelling += advance();
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            spelling += advance();
+        ++pos_;
+        while (isDigit(peek()))
+            ++pos_;
     }
     if (peek() == 'e' || peek() == 'E') {
-        spelling += advance();
+        ++pos_;
         if (peek() == '-' || peek() == '+')
-            spelling += advance();
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            spelling += advance();
+            ++pos_;
+        while (isDigit(peek()))
+            ++pos_;
     }
+    std::string_view spelling = source_.substr(start, pos_ - start);
     Token token = make(TokenKind::Number, spelling);
-    auto value = parseDouble(spelling);
-    if (!value) {
-        error("malformed number '" + spelling + "'");
-        token.number = 0.0;
-    } else {
+    if (auto value = parseDouble(spelling))
         token.number = *value;
-    }
+    else
+        error("malformed number '" + std::string(spelling) + "'");
     return token;
 }
 
 Token
 Lexer::lexIdentifier()
 {
-    std::string spelling;
+    size_t start = pos_;
     while (std::isalnum(static_cast<unsigned char>(peek())) ||
            peek() == '_' || peek() == '.') {
-        spelling += advance();
+        ++pos_;
     }
-    return make(TokenKind::Identifier, spelling);
+    return make(TokenKind::Identifier, source_.substr(start, pos_ - start));
 }
 
 Token
 Lexer::lexString()
 {
-    advance(); // opening quote
-    std::string contents;
-    while (!atEnd() && peek() != '"') {
-        char ch = advance();
-        if (ch == '\\' && !atEnd()) {
-            char esc = advance();
-            switch (esc) {
-              case 'n': contents += '\n'; break;
-              case 't': contents += '\t'; break;
-              case '"': contents += '"'; break;
-              case '\\': contents += '\\'; break;
-              default:
-                error(std::string("unknown escape '\\") + esc + "'");
-                contents += esc;
+    ++pos_; // opening quote
+    size_t start = pos_;
+    while (!atEnd() && peek() != '"' && peek() != '\\')
+        advance();
+    std::string_view contents = source_.substr(start, pos_ - start);
+    if (!atEnd() && peek() == '\\') {
+        // Escapes: decode into a copy the token can view.
+        std::string &decoded = decoded_.emplace_back(contents);
+        while (!atEnd() && peek() != '"') {
+            char ch = peek();
+            advance();
+            if (ch == '\\' && !atEnd()) {
+                char esc = peek();
+                advance();
+                switch (esc) {
+                  case 'n': decoded += '\n'; break;
+                  case 't': decoded += '\t'; break;
+                  case '"': decoded += '"'; break;
+                  case '\\': decoded += '\\'; break;
+                  default:
+                    error(std::string("unknown escape '\\") + esc + "'");
+                    decoded += esc;
+                }
+            } else {
+                decoded += ch;
             }
-        } else {
-            contents += ch;
         }
+        contents = decoded;
     }
-    if (atEnd()) {
+    if (atEnd())
         error("unterminated string literal");
-    } else {
-        advance(); // closing quote
-    }
+    else
+        ++pos_; // closing quote
     return make(TokenKind::String, contents);
 }
 
-std::vector<Token>
-Lexer::tokenize()
+Token
+Lexer::next()
 {
-    std::vector<Token> tokens;
     while (true) {
         skipWhitespaceAndComments();
         tokenLine_ = line_;
-        tokenColumn_ = column_;
-        if (atEnd()) {
-            tokens.push_back(make(TokenKind::EndOfFile));
-            break;
-        }
+        tokenColumn_ = column();
+        if (atEnd())
+            return make(TokenKind::EndOfFile, {});
         char ch = peek();
-        if (std::isdigit(static_cast<unsigned char>(ch)) ||
-            ((ch == '-' || ch == '+') &&
-             std::isdigit(static_cast<unsigned char>(peek(1))))) {
-            if (ch == '-' && peek(1) == '-') {
-                // fallthrough to '--' handling below
-            } else if (ch == '-' && peek(1) == '>') {
-                // fallthrough to '->' handling below
-            } else {
-                tokens.push_back(lexNumber());
-                continue;
-            }
-        }
-        if (std::isalpha(static_cast<unsigned char>(ch)) || ch == '_') {
-            tokens.push_back(lexIdentifier());
-            continue;
-        }
+        if (isDigit(ch) || ((ch == '-' || ch == '+') && isDigit(peek(1))))
+            return lexNumber();
+        if (std::isalpha(static_cast<unsigned char>(ch)) || ch == '_')
+            return lexIdentifier();
+        TokenKind kind;
+        size_t width = 1;
         switch (ch) {
-          case '"':
-            tokens.push_back(lexString());
-            continue;
-          case '{':
-            advance();
-            tokens.push_back(make(TokenKind::LBrace, "{"));
-            continue;
-          case '}':
-            advance();
-            tokens.push_back(make(TokenKind::RBrace, "}"));
-            continue;
-          case '[':
-            advance();
-            tokens.push_back(make(TokenKind::LBracket, "["));
-            continue;
-          case ']':
-            advance();
-            tokens.push_back(make(TokenKind::RBracket, "]"));
-            continue;
-          case ';':
-            advance();
-            tokens.push_back(make(TokenKind::Semicolon, ";"));
-            continue;
-          case ',':
-            advance();
-            tokens.push_back(make(TokenKind::Comma, ","));
-            continue;
-          case '=':
-            advance();
-            tokens.push_back(make(TokenKind::Equals, "="));
-            continue;
+          case '"': return lexString();
+          case '{': kind = TokenKind::LBrace; break;
+          case '}': kind = TokenKind::RBrace; break;
+          case '[': kind = TokenKind::LBracket; break;
+          case ']': kind = TokenKind::RBracket; break;
+          case ';': kind = TokenKind::Semicolon; break;
+          case ',': kind = TokenKind::Comma; break;
+          case '=': kind = TokenKind::Equals; break;
           case '-':
-            if (peek(1) == '-') {
-                advance();
-                advance();
-                tokens.push_back(make(TokenKind::HeatEdge, "--"));
-                continue;
-            }
-            if (peek(1) == '>') {
-                advance();
-                advance();
-                tokens.push_back(make(TokenKind::AirEdge, "->"));
-                continue;
+            if (peek(1) == '-' || peek(1) == '>') {
+                kind = peek(1) == '-' ? TokenKind::HeatEdge
+                                      : TokenKind::AirEdge;
+                width = 2;
+                break;
             }
             [[fallthrough]];
           default:
             error(std::string("unexpected character '") + ch + "'");
             advance();
+            continue;
         }
+        Token token = make(kind, source_.substr(pos_, width));
+        pos_ += width;
+        return token;
     }
-    return tokens;
 }
 
 } // namespace graphdot

@@ -1,10 +1,10 @@
 #include "graphdot/parser.hh"
 
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <string_view>
 
 #include "graphdot/lexer.hh"
+#include "util/fileio.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
 
@@ -16,19 +16,22 @@ namespace {
 /** One parsed `ident = value` attribute. */
 struct Attribute
 {
-    std::string name;
+    std::string_view name;
     Token value;
 };
 
 /**
- * Recursive-descent parser over the token stream.
+ * Recursive-descent parser that pulls tokens from the lexer through a
+ * two-token lookahead window; no token stream is ever materialized.
  */
 class Parser
 {
   public:
-    explicit Parser(std::vector<Token> tokens)
-        : tokens_(std::move(tokens))
+    explicit Parser(Lexer &lexer)
+        : lexer_(lexer)
     {
+        ahead_[0] = lexer_.next();
+        ahead_[1] = lexer_.next();
     }
 
     ParseResult
@@ -48,24 +51,23 @@ class Parser
     }
 
   private:
-    const Token &peek(size_t ahead = 0) const
-    {
-        size_t at = std::min(pos_ + ahead, tokens_.size() - 1);
-        return tokens_[at];
-    }
+    /** Token @p ahead positions on (0 or 1); EndOfFile past the end. */
+    const Token &peek(size_t ahead = 0) const { return ahead_[ahead]; }
 
-    const Token &advance()
+    /** Consume the current token and return it. */
+    Token
+    advance()
     {
-        const Token &token = tokens_[pos_];
-        if (pos_ + 1 < tokens_.size())
-            ++pos_;
+        Token token = ahead_[0];
+        ahead_[0] = ahead_[1];
+        ahead_[1] = lexer_.next();
         return token;
     }
 
     bool at(TokenKind kind) const { return peek().kind == kind; }
 
     bool
-    atKeyword(const std::string &word) const
+    atKeyword(std::string_view word) const
     {
         return at(TokenKind::Identifier) && peek().text == word;
     }
@@ -120,23 +122,27 @@ class Parser
     }
 
     /** name := identifier | string */
-    std::string
+    std::string_view
     parseName(const char *context)
     {
         if (at(TokenKind::Identifier) || at(TokenKind::String))
             return advance().text;
         error(std::string("expected a name ") + context + ", found " +
               tokenKindName(peek().kind));
-        return "";
+        return {};
     }
 
-    /** attrs := '[' ident '=' value (',' ident '=' value)* ']' */
-    std::vector<Attribute>
+    /**
+     * attrs := '[' ident '=' value (',' ident '=' value)* ']'
+     * The list is reused from call to call, so the returned reference
+     * is valid until the next parseAttributes().
+     */
+    const std::vector<Attribute> &
     parseAttributes()
     {
-        std::vector<Attribute> attrs;
+        attrs_.clear();
         if (!accept(TokenKind::LBracket))
-            return attrs;
+            return attrs_;
         while (!at(TokenKind::RBracket) && !at(TokenKind::EndOfFile)) {
             Attribute attr;
             attr.name = parseName("for an attribute");
@@ -148,19 +154,20 @@ class Parser
                 error("expected attribute value, found " +
                       std::string(tokenKindName(peek().kind)));
             }
-            attrs.push_back(std::move(attr));
+            attrs_.push_back(attr);
             if (!accept(TokenKind::Comma))
                 break;
         }
         expect(TokenKind::RBracket, "to close attribute list");
-        return attrs;
+        return attrs_;
     }
 
     double
     numericAttr(const Attribute &attr)
     {
         if (attr.value.kind != TokenKind::Number) {
-            error("attribute '" + attr.name + "' needs a numeric value");
+            error("attribute '" + std::string(attr.name) +
+                  "' needs a numeric value");
             return 0.0;
         }
         return attr.value.number;
@@ -197,10 +204,11 @@ class Parser
     void
     parseSetting(core::MachineSpec &spec)
     {
-        std::string name = advance().text;
+        std::string_view name = advance().text;
         expect(TokenKind::Equals, "in setting");
         if (!at(TokenKind::Number)) {
-            error("setting '" + name + "' needs a numeric value");
+            error("setting '" + std::string(name) +
+                  "' needs a numeric value");
             synchronizeToStatement();
             return;
         }
@@ -213,7 +221,7 @@ class Parser
         } else if (name == "initial_temperature") {
             spec.initialTemperature = value;
         } else {
-            error("unknown machine setting '" + name + "'");
+            error("unknown machine setting '" + std::string(name) + "'");
         }
     }
 
@@ -236,7 +244,8 @@ class Parser
                 } else if (kind == "exhaust") {
                     node.kind = core::NodeKind::Exhaust;
                 } else {
-                    error("unknown node kind '" + attr.value.text + "'");
+                    error("unknown node kind '" +
+                          std::string(attr.value.text) + "'");
                 }
             } else if (attr.name == "mass") {
                 node.mass = numericAttr(attr);
@@ -251,7 +260,8 @@ class Parser
             } else if (attr.name == "temperature") {
                 node.initialTemperature = numericAttr(attr);
             } else {
-                error("unknown node attribute '" + attr.name + "'");
+                error("unknown node attribute '" + std::string(attr.name) +
+                      "'");
             }
         }
         expect(TokenKind::Semicolon, "after node declaration");
@@ -261,7 +271,7 @@ class Parser
     void
     parseEdge(core::MachineSpec &spec)
     {
-        std::string from = parseName("for the edge source");
+        std::string from(parseName("for the edge source"));
         bool heat = false;
         if (accept(TokenKind::HeatEdge)) {
             heat = true;
@@ -272,33 +282,36 @@ class Parser
             synchronizeToStatement();
             return;
         }
-        std::string to = parseName("for the edge target");
-        std::vector<Attribute> attrs = parseAttributes();
+        std::string to(parseName("for the edge target"));
+        const std::vector<Attribute> &attrs = parseAttributes();
         expect(TokenKind::Semicolon, "after edge");
         if (heat) {
-            core::HeatEdgeSpec edge{from, to, 0.0};
+            core::HeatEdgeSpec edge{std::move(from), std::move(to), 0.0};
             for (const Attribute &attr : attrs) {
                 if (attr.name == "k") {
                     edge.k = numericAttr(attr);
                 } else {
-                    error("unknown heat-edge attribute '" + attr.name +
-                          "'");
+                    error("unknown heat-edge attribute '" +
+                          std::string(attr.name) + "'");
                 }
             }
-            if (edge.k <= 0.0)
-                error("heat edge " + from + " -- " + to + " needs k > 0");
+            if (edge.k <= 0.0) {
+                error("heat edge " + edge.a + " -- " + edge.b +
+                      " needs k > 0");
+            }
             spec.heatEdges.push_back(std::move(edge));
         } else {
-            core::AirEdgeSpec edge{from, to, 0.0};
+            core::AirEdgeSpec edge{std::move(from), std::move(to), 0.0};
             for (const Attribute &attr : attrs) {
                 if (attr.name == "fraction") {
                     edge.fraction = numericAttr(attr);
                 } else {
-                    error("unknown air-edge attribute '" + attr.name + "'");
+                    error("unknown air-edge attribute '" +
+                          std::string(attr.name) + "'");
                 }
             }
             if (edge.fraction <= 0.0) {
-                error("air edge " + from + " -> " + to +
+                error("air edge " + edge.from + " -> " + edge.to +
                       " needs fraction > 0");
             }
             spec.airEdges.push_back(std::move(edge));
@@ -322,8 +335,8 @@ class Parser
                     if (attr.name == "temperature") {
                         node.temperature = numericAttr(attr);
                     } else {
-                        error("unknown source attribute '" + attr.name +
-                              "'");
+                        error("unknown source attribute '" +
+                              std::string(attr.name) + "'");
                     }
                 }
                 expect(TokenKind::Semicolon, "after source");
@@ -352,16 +365,16 @@ class Parser
                 expect(TokenKind::Semicolon, "after machine node");
                 room.nodes.push_back(std::move(node));
             } else if (at(TokenKind::Identifier) || at(TokenKind::String)) {
-                std::string from = parseName("for the edge source");
+                core::AirEdgeSpec edge;
+                edge.from = parseName("for the edge source");
                 expect(TokenKind::AirEdge, "in room edge");
-                std::string to = parseName("for the edge target");
-                core::AirEdgeSpec edge{from, to, 0.0};
+                edge.to = parseName("for the edge target");
                 for (const Attribute &attr : parseAttributes()) {
                     if (attr.name == "fraction") {
                         edge.fraction = numericAttr(attr);
                     } else {
-                        error("unknown room-edge attribute '" + attr.name +
-                              "'");
+                        error("unknown room-edge attribute '" +
+                              std::string(attr.name) + "'");
                     }
                 }
                 expect(TokenKind::Semicolon, "after room edge");
@@ -381,8 +394,9 @@ class Parser
         }
     }
 
-    std::vector<Token> tokens_;
-    size_t pos_ = 0;
+    Lexer &lexer_;
+    Token ahead_[2];
+    std::vector<Attribute> attrs_; //!< parseAttributes()'s reused list
     ParseResult result_;
 };
 
@@ -392,9 +406,7 @@ ParseResult
 parseConfig(const std::string &source)
 {
     Lexer lexer(source);
-    std::vector<Token> tokens = lexer.tokenize();
-    Parser parser(std::move(tokens));
-    ParseResult result = parser.run();
+    ParseResult result = Parser(lexer).run();
     // Lexer errors come first.
     result.errors.insert(result.errors.begin(), lexer.errors().begin(),
                          lexer.errors().end());
@@ -416,12 +428,10 @@ parseConfig(const std::string &source)
 core::ConfigSpec
 loadConfigFile(const std::string &path)
 {
-    std::ifstream in(path);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
         fatal("cannot open config file '", path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    ParseResult result = parseConfig(buffer.str());
+    ParseResult result = parseConfig(readStream(in));
     if (!result.ok()) {
         std::string joined;
         for (const std::string &err : result.errors)

@@ -19,6 +19,10 @@
  *                | name '->' name attrs? ';'
  *   attrs       := '[' ident '=' value (',' ident '=' value)* ']'
  *   name        := identifier | string
+ *   number      := [+-]? digit+ ('.' digit*)? ([eE] [+-]? digit+)?
+ *
+ * A number that overflows, underflows to zero or lands in the
+ * subnormal range is an error ("malformed number").
  *
  * Machine settings: inlet_temperature, fan_cfm, initial_temperature.
  * Node attributes: kind (component|air|inlet|exhaust), mass, c (alias

@@ -10,7 +10,7 @@
 #ifndef MERCURY_GRAPHDOT_TOKEN_HH
 #define MERCURY_GRAPHDOT_TOKEN_HH
 
-#include <string>
+#include <string_view>
 
 namespace mercury {
 namespace graphdot {
@@ -32,14 +32,18 @@ enum class TokenKind {
     EndOfFile
 };
 
-/** One lexical token with source position for diagnostics. */
+/**
+ * One lexical token with source position for diagnostics. The text is
+ * a view into the lexed source (or, for a string literal with escapes,
+ * into the lexer's decoded copy), valid while the Lexer lives.
+ */
 struct Token
 {
     TokenKind kind = TokenKind::EndOfFile;
-    std::string text;   //!< identifier/string contents, number spelling
-    double number = 0;  //!< value when kind == Number
-    int line = 0;       //!< 1-based source line
-    int column = 0;     //!< 1-based source column
+    std::string_view text; //!< identifier/string contents, spelling
+    double number = 0;     //!< value when kind == Number
+    int line = 0;          //!< 1-based source line
+    int column = 0;        //!< 1-based source column
 };
 
 /** Human-readable token kind name for error messages. */

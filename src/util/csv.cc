@@ -1,5 +1,6 @@
 #include "util/csv.hh"
 
+#include <cctype>
 #include <charconv>
 
 #include "util/logging.hh"
@@ -10,7 +11,12 @@ namespace mercury {
 std::string
 csvEscape(const std::string &cell)
 {
-    bool needs_quotes = false;
+    // Leading or trailing whitespace is quoted too: readers trim
+    // unquoted cells.
+    bool needs_quotes =
+        !cell.empty() &&
+        (std::isspace(static_cast<unsigned char>(cell.front())) ||
+         std::isspace(static_cast<unsigned char>(cell.back())));
     for (char ch : cell) {
         if (ch == ',' || ch == '"' || ch == '\n' || ch == '\r') {
             needs_quotes = true;

@@ -50,7 +50,8 @@ void writeAlignedSeries(std::ostream &out,
                         const std::vector<const TimeSeries *> &series,
                         const std::string &timeColumn = "time_s");
 
-/** Escape a cell per RFC 4180 (quotes/commas/newlines). */
+/** Escape a cell per RFC 4180 (quotes/commas/newlines); a cell with
+ *  leading or trailing whitespace is quoted as well. */
 std::string csvEscape(const std::string &cell);
 
 } // namespace mercury

@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <istream>
 
 #include "util/strings.hh"
 
@@ -138,6 +139,16 @@ readFileBytes(const std::string &path, size_t max_bytes,
     ::close(fd);
     out->resize(got);
     return true;
+}
+
+std::string
+readStream(std::istream &in)
+{
+    std::string text;
+    char block[1 << 16];
+    while (in.read(block, sizeof(block)) || in.gcount() > 0)
+        text.append(block, static_cast<size_t>(in.gcount()));
+    return text;
 }
 
 } // namespace mercury

@@ -9,7 +9,9 @@
  * reader must never observe a half-written value; the WAL appends
  * through the same writeAll(). readFileBytes() loads the checkpoint
  * and the WAL (replica/wal) under a size ceiling, so a hostile or
- * runaway file is refused before it is read.
+ * runaway file is refused before it is read. readStream() reads the
+ * text inputs (graphdot configs, utilization traces) whole, so their
+ * parsers work on one buffer.
  */
 
 #ifndef MERCURY_UTIL_FILEIO_HH
@@ -17,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,6 +59,9 @@ void setAtomicWriteFaultStageForTest(int stage);
  */
 bool readFileBytes(const std::string &path, size_t max_bytes,
                    std::vector<uint8_t> *out, std::string *error = nullptr);
+
+/** Everything left in @p in, read in large blocks (pipes work too). */
+std::string readStream(std::istream &in);
 
 } // namespace mercury
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "core/solver.hh"
@@ -48,6 +50,57 @@ TEST(UtilizationTrace, CsvRoundTrip)
     EXPECT_EQ(loaded.samples()[1].component, "disk");
     EXPECT_DOUBLE_EQ(loaded.samples()[1].utilization, 0.5);
     EXPECT_EQ(loaded.samples()[2].machine, "m2");
+}
+
+TEST(UtilizationTrace, SaveLoadRoundTripsBitForBit)
+{
+    // Times past six significant digits, utilizations with all 17,
+    // and names that need quoting: a comma, a quote, a line break.
+    UtilizationTrace trace;
+    trace.add(0.0, "m1", "cpu", 0.1);
+    trace.add(1234567.25, "rack 1, slot 2", "cpu", 1.0 / 3.0);
+    trace.add(1234567.25, "say \"hi\"", "disk", 0.123456789012345678);
+    trace.add(9007199254740993.0, "two\nlines", "cpu,0", 2.5e-300);
+    trace.add(1e21, " padded ", "disk", 0.0);
+
+    std::ostringstream out;
+    trace.save(out);
+    std::istringstream in(out.str());
+    UtilizationTrace loaded = UtilizationTrace::load(in);
+
+    ASSERT_EQ(loaded.size(), trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const UtilizationSample &want = trace.samples()[i];
+        const UtilizationSample &got = loaded.samples()[i];
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.time),
+                  std::bit_cast<uint64_t>(want.time))
+            << i;
+        EXPECT_EQ(got.machine, want.machine) << i;
+        EXPECT_EQ(got.component, want.component) << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.utilization),
+                  std::bit_cast<uint64_t>(want.utilization))
+            << i;
+    }
+    EXPECT_NE(out.str().find("1234567.25,"), std::string::npos);
+}
+
+TEST(UtilizationTrace, LoadReportsBadRows)
+{
+    auto load = [](const char *text) {
+        std::istringstream in(text);
+        UtilizationTrace::load(in);
+    };
+    EXPECT_EXIT(load("1,m1,cpu\n"), testing::ExitedWithCode(1),
+                "line 1: expected 4 fields, got 3");
+    EXPECT_EXIT(load("1,m1,cpu,0.5\n2,\"a\nb\",cpu\n"),
+                testing::ExitedWithCode(1),
+                "line 2: expected 4 fields, got 3");
+    EXPECT_EXIT(load("1,\"m1,cpu,0.5\n"), testing::ExitedWithCode(1),
+                "line 1: unterminated quoted field");
+    EXPECT_EXIT(load("1,\"m1\"x,cpu,0.5\n"), testing::ExitedWithCode(1),
+                "line 1: text after a quoted field");
+    EXPECT_EXIT(load("1,m1,cpu,0.5x\n"), testing::ExitedWithCode(1),
+                "line 1: malformed number");
 }
 
 TEST(UtilizationTrace, LoadSkipsCommentsAndHeader)

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "core/thermal_graph.hh"
 #include "graphdot/lexer.hh"
@@ -19,10 +20,20 @@ namespace mercury {
 namespace graphdot {
 namespace {
 
+/** Pull every token, the final EndOfFile included. */
+std::vector<Token>
+lexAll(Lexer &lexer)
+{
+    std::vector<Token> tokens{lexer.next()};
+    while (tokens.back().kind != TokenKind::EndOfFile)
+        tokens.push_back(lexer.next());
+    return tokens;
+}
+
 TEST(Lexer, TokenizesAllKinds)
 {
     Lexer lexer("machine m1 { a -- b [k=0.75]; c -> d; } \"quoted\" 1e-3");
-    auto tokens = lexer.tokenize();
+    auto tokens = lexAll(lexer);
     EXPECT_TRUE(lexer.errors().empty());
     ASSERT_GE(tokens.size(), 5u);
     EXPECT_EQ(tokens[0].kind, TokenKind::Identifier);
@@ -52,7 +63,7 @@ TEST(Lexer, TokenizesAllKinds)
 TEST(Lexer, CommentsAreSkipped)
 {
     Lexer lexer("# hash comment\n// slashes\n/* block\ncomment */ x");
-    auto tokens = lexer.tokenize();
+    auto tokens = lexAll(lexer);
     EXPECT_TRUE(lexer.errors().empty());
     ASSERT_EQ(tokens.size(), 2u); // 'x' + EOF
     EXPECT_EQ(tokens[0].text, "x");
@@ -61,7 +72,7 @@ TEST(Lexer, CommentsAreSkipped)
 TEST(Lexer, TracksLineNumbers)
 {
     Lexer lexer("a\nb\n  c");
-    auto tokens = lexer.tokenize();
+    auto tokens = lexAll(lexer);
     EXPECT_EQ(tokens[0].line, 1);
     EXPECT_EQ(tokens[1].line, 2);
     EXPECT_EQ(tokens[2].line, 3);
@@ -71,7 +82,7 @@ TEST(Lexer, TracksLineNumbers)
 TEST(Lexer, ReportsUnterminatedString)
 {
     Lexer lexer("\"oops");
-    lexer.tokenize();
+    lexAll(lexer);
     ASSERT_FALSE(lexer.errors().empty());
     EXPECT_NE(lexer.errors()[0].find("unterminated"), std::string::npos);
 }
@@ -79,7 +90,7 @@ TEST(Lexer, ReportsUnterminatedString)
 TEST(Lexer, NegativeNumbers)
 {
     Lexer lexer("-3.5 --");
-    auto tokens = lexer.tokenize();
+    auto tokens = lexAll(lexer);
     EXPECT_TRUE(lexer.errors().empty());
     EXPECT_EQ(tokens[0].kind, TokenKind::Number);
     EXPECT_DOUBLE_EQ(tokens[0].number, -3.5);
