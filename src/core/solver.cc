@@ -169,7 +169,11 @@ Solver::addMachine(const MachineSpec &spec)
         MERCURY_PANIC("Solver: duplicate machine '", spec.name, "'");
     if (room_)
         MERCURY_PANIC("Solver: add machines before installing the room");
-    machines_.push_back(std::make_unique<ThermalGraph>(spec));
+    auto graph = std::make_unique<ThermalGraph>(spec);
+    std::string refusal = graph->substepCapError(config_.iterationSeconds);
+    if (!refusal.empty())
+        fatal(refusal);
+    machines_.push_back(std::move(graph));
     machineIndex_[spec.name] = machines_.size() - 1;
     layoutDirty_ = true; // batches (and the pool) are rebuilt lazily
     Quiescence fresh;

@@ -105,7 +105,11 @@ class Solver
     /** @name Topology */
     /// @{
 
-    /** Instantiate a machine from its spec; the name must be unique. */
+    /**
+     * Instantiate a machine from its spec; the name must be unique.
+     * Fatal (naming the machine) when one iteration would need more
+     * than ThermalGraph::kMaxSubsteps substeps.
+     */
     ThermalGraph &addMachine(const MachineSpec &spec);
 
     /** Install the inter-machine room model (after adding machines). */

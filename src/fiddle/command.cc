@@ -32,6 +32,26 @@ splitEdgeTarget(const std::string &target)
     return std::make_pair(target.substr(0, colon), target.substr(colon + 1));
 }
 
+/**
+ * Apply @p set(value) to a machine constant, then undo it with
+ * @p set(previous) when one solver iteration of @p graph would need
+ * more than ThermalGraph::kMaxSubsteps substeps: the model must never
+ * step unstably, and the refusal names the cap.
+ */
+template <typename Set>
+FiddleResult
+setWithinSubstepCap(const core::Solver &solver,
+                    const core::ThermalGraph &graph, Set set, double value,
+                    double previous)
+{
+    set(value);
+    std::string refusal = graph.substepCapError(solver.iterationSeconds());
+    if (refusal.empty())
+        return success();
+    set(previous);
+    return fail(refusal);
+}
+
 } // namespace
 
 std::optional<FiddleCommand>
@@ -205,8 +225,9 @@ apply(core::Solver &solver, const FiddleCommand &cmd)
     if (cmd.property == "fan") {
         if (cmd.values[0] < 0.0)
             return fail("fan flow must be non-negative");
-        graph.setFanCfm(cmd.values[0]);
-        return success();
+        return setWithinSubstepCap(
+            solver, graph, [&](double cfm) { graph.setFanCfm(cfm); },
+            cmd.values[0], graph.fanCfm());
     }
     if (cmd.property == "k") {
         auto edge = splitEdgeTarget(cmd.target);
@@ -214,8 +235,10 @@ apply(core::Solver &solver, const FiddleCommand &cmd)
             return fail("no heat edge " + cmd.target);
         if (cmd.values[0] <= 0.0)
             return fail("k must be positive");
-        graph.setHeatK(edge->first, edge->second, cmd.values[0]);
-        return success();
+        return setWithinSubstepCap(
+            solver, graph,
+            [&](double k) { graph.setHeatK(edge->first, edge->second, k); },
+            cmd.values[0], graph.heatK(edge->first, edge->second));
     }
     if (cmd.property == "fraction") {
         auto edge = splitEdgeTarget(cmd.target);
@@ -223,8 +246,12 @@ apply(core::Solver &solver, const FiddleCommand &cmd)
             return fail("no air edge " + cmd.target);
         if (cmd.values[0] < 0.0 || cmd.values[0] > 1.0)
             return fail("fraction must be in [0, 1]");
-        graph.setAirFraction(edge->first, edge->second, cmd.values[0]);
-        return success();
+        return setWithinSubstepCap(
+            solver, graph,
+            [&](double fraction) {
+                graph.setAirFraction(edge->first, edge->second, fraction);
+            },
+            cmd.values[0], graph.airFraction(edge->first, edge->second));
     }
     if (cmd.property == "power") {
         auto node = solver.tryResolveNode(cmd.machine, cmd.target);

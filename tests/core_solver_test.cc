@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/solver.hh"
 
 namespace mercury {
@@ -22,6 +25,40 @@ TEST(Solver, IterationAccounting)
     solver.run(59.0);
     EXPECT_EQ(solver.iterations(), 60u);
     EXPECT_DOUBLE_EQ(solver.emulatedSeconds(), 60.0);
+}
+
+TEST(Solver, RefusesAMachineAboveTheSubstepCap)
+{
+    // k = 1e300 on cpu -- cpu_air: one 1 s step would need about 1e300
+    // substeps. The count used to go through int (undefined; INT_MIN
+    // on x86, so std::max picked 1 substep) and the cpu went to
+    // 2.6e283, inf and NaN within four iterations.
+    MachineSpec spec = table1Server("hot");
+    for (HeatEdgeSpec &edge : spec.heatEdges) {
+        if (edge.a == "cpu" && edge.b == "cpu_air")
+            edge.k = 1e300;
+    }
+    ASSERT_TRUE(validate(spec).empty());
+    ThermalGraph graph(spec);
+    EXPECT_GT(graph.substepsNeeded(1.0), ThermalGraph::kMaxSubsteps);
+    EXPECT_NE(graph.substepCapError(1.0).find("machine 'hot'"),
+              std::string::npos);
+    EXPECT_DEATH(graph.step(1.0), "kMaxSubsteps");
+
+    Solver solver;
+    EXPECT_EXIT(solver.addMachine(spec), testing::ExitedWithCode(1),
+                "machine 'hot': a 1 s step needs .* substeps, above the "
+                "substep cap ThermalGraph::kMaxSubsteps = 100000");
+
+    // The cap is on the plan: a stiff but plannable machine is kept.
+    MachineSpec stiff = table1Server("stiff");
+    stiff.heatEdges[0].k = 2000.0;
+    ThermalGraph plannable(stiff);
+    EXPECT_GT(plannable.substepsFor(1.0), 1);
+    EXPECT_LE(plannable.substepsFor(1.0), ThermalGraph::kMaxSubsteps);
+    solver.addMachine(stiff);
+    solver.run(10.0);
+    EXPECT_TRUE(std::isfinite(solver.temperature("stiff", "cpu")));
 }
 
 TEST(Solver, CustomIterationPeriod)

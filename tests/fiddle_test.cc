@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <string>
+
 #include "core/solver.hh"
 #include "fiddle/command.hh"
 #include "fiddle/script.hh"
@@ -21,6 +25,33 @@ singleMachine(std::unique_ptr<core::Solver> &holder)
     holder = std::make_unique<core::Solver>();
     holder->addMachine(core::table1Server("machine1"));
     return *holder;
+}
+
+TEST(Apply, RefusesMutationsAboveTheSubstepCap)
+{
+    std::unique_ptr<core::Solver> holder;
+    core::Solver &solver = singleMachine(holder);
+    core::ThermalGraph &graph = solver.machine("machine1");
+    double k = graph.heatK("cpu", "cpu_air");
+
+    FiddleResult result = applyLine(solver, "machine1 k cpu:cpu_air 1e300");
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.message.find("machine 'machine1'"), std::string::npos)
+        << result.message;
+    EXPECT_NE(result.message.find("ThermalGraph::kMaxSubsteps"),
+              std::string::npos)
+        << result.message;
+    EXPECT_EQ(graph.heatK("cpu", "cpu_air"), k); // undone
+    solver.run(5.0);
+    EXPECT_TRUE(std::isfinite(solver.temperature("machine1", "cpu")));
+
+    // Fan and fraction mutations go through the same check and, when
+    // the plan fits, apply as before.
+    EXPECT_TRUE(applyLine(solver, "machine1 fan 0").ok);
+    EXPECT_TRUE(applyLine(solver, "machine1 fraction void_air:cpu_air 0.5").ok);
+    EXPECT_EQ(graph.airFraction("void_air", "cpu_air"), 0.5);
+    EXPECT_TRUE(applyLine(solver, "machine1 k cpu:cpu_air 2").ok);
+    EXPECT_EQ(graph.heatK("cpu", "cpu_air"), 2.0);
 }
 
 TEST(ParseCommand, PaperExampleLine)
