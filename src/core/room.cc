@@ -1,6 +1,7 @@
 #include "core/room.hh"
 
-#include <algorithm>
+#include <functional>
+#include <queue>
 
 #include "core/thermal_graph.hh"
 #include "util/logging.hh"
@@ -53,23 +54,34 @@ RoomModel::RoomModel(
             {requireNode(es.from), requireNode(es.to), es.fraction});
     }
 
-    // Topological order (spec validation guaranteed acyclicity).
+    // Topological order (spec validation guaranteed acyclicity), always
+    // taking the lowest ready id next. Out-edges grouped by source and
+    // a min-heap of ready ids keep this O(E log V) on large rooms.
+    std::vector<size_t> out_offsets(nodes_.size() + 1, 0);
     std::vector<size_t> in_degree(nodes_.size(), 0);
-    for (const Edge &edge : edges_)
+    for (const Edge &edge : edges_) {
+        ++out_offsets[edge.from + 1];
         ++in_degree[edge.to];
-    std::vector<size_t> ready;
+    }
+    for (size_t i = 0; i < nodes_.size(); ++i)
+        out_offsets[i + 1] += out_offsets[i];
+    std::vector<size_t> out_to(edges_.size());
+    std::vector<size_t> cursor(out_offsets.begin(), out_offsets.end() - 1);
+    for (const Edge &edge : edges_)
+        out_to[cursor[edge.from]++] = edge.to;
+    std::priority_queue<size_t, std::vector<size_t>, std::greater<>> ready;
     for (size_t i = 0; i < nodes_.size(); ++i) {
         if (in_degree[i] == 0)
-            ready.push_back(i);
+            ready.push(i);
     }
     while (!ready.empty()) {
-        auto it = std::min_element(ready.begin(), ready.end());
-        size_t id = *it;
-        ready.erase(it);
+        size_t id = ready.top();
+        ready.pop();
         order_.push_back(id);
-        for (const Edge &edge : edges_) {
-            if (edge.from == id && --in_degree[edge.to] == 0)
-                ready.push_back(edge.to);
+        for (size_t slot = out_offsets[id]; slot < out_offsets[id + 1];
+             ++slot) {
+            if (--in_degree[out_to[slot]] == 0)
+                ready.push(out_to[slot]);
         }
     }
     if (order_.size() != nodes_.size())
