@@ -126,8 +126,6 @@ struct ConfigSpec
 {
     std::vector<MachineSpec> machines;
     std::optional<RoomSpec> room;
-
-    const MachineSpec *findMachine(const std::string &machine_name) const;
 };
 
 /**
