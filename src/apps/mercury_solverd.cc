@@ -61,9 +61,9 @@ main(int argc, char **argv)
     flags.defineDouble("stats-log-seconds", 60.0,
                        "seconds between packet-health log lines "
                        "(needs --verbose; 0 disables)");
-    flags.defineInt("threads", 0,
-                    "machine-stepping executors (0 = all hardware "
-                    "threads, 1 = serial)");
+    flags.defineInt("threads", 1,
+                    "machine-stepping executors (1 = serial, 0 = all "
+                    "hardware threads)");
     flags.defineDouble("quiescence-epsilon", 0.0,
                        "freeze machines whose max per-node |dT| and "
                        "projected drift stay under this many degC "

@@ -113,9 +113,9 @@ main(int argc, char **argv)
                        "clone a traced machine: src=dst1+dst2+...");
     flags.defineDouble("iteration-seconds", 1.0,
                        "emulated seconds per solver iteration");
-    flags.defineInt("threads", 0,
-                    "machine-stepping executors (0 = all hardware "
-                    "threads, 1 = serial)");
+    flags.defineInt("threads", 1,
+                    "machine-stepping executors (1 = serial, 0 = all "
+                    "hardware threads)");
     flags.defineBool("graphviz", false,
                      "dump the first machine as Graphviz dot and exit");
     flags.defineString("checkpoint-path", "",

@@ -229,6 +229,7 @@ validate(const RoomSpec &room, const ConfigSpec &config)
 
     FirstIndex first;
     first.reserve(room.nodes.size());
+    bool has_source = false;
     for (uint32_t i = 0; i < room.nodes.size(); ++i) {
         const RoomNodeSpec &node = room.nodes[i];
         if (!first.emplace(node.name, i).second)
@@ -238,7 +239,12 @@ validate(const RoomSpec &room, const ConfigSpec &config)
             report("machine node '" + node.name +
                    "' references unknown machine '" + node.machine + "'");
         }
+        if (node.kind == RoomNodeKind::Source)
+            has_source = true;
     }
+    // The sources supply the machines' fan demand (RoomModel).
+    if (!has_source)
+        report("no air source");
 
     std::vector<double> out_frac(room.nodes.size(), 0.0);
     std::vector<IndexEdge> edges;

@@ -137,7 +137,9 @@ struct ConfigSpec
  */
 std::vector<std::string> validate(const MachineSpec &spec);
 
-/** Validate a room spec against the machines it references. */
+/** Validate a room spec against the machines it references: unique
+ *  node names, known machines, at least one air source, fractions
+ *  out of every non-sink node summing to ~1, and an acyclic graph. */
 std::vector<std::string> validate(const RoomSpec &room,
                                   const ConfigSpec &config);
 

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <string_view>
+#include <unordered_set>
 
 #include "graphdot/lexer.hh"
 #include "util/fileio.hh"
@@ -411,8 +412,14 @@ parseConfig(const std::string &source)
     result.errors.insert(result.errors.begin(), lexer.errors().begin(),
                          lexer.errors().end());
     // Semantic validation of everything that parsed. Runs even after
-    // syntax errors so the user sees all problems in one pass.
+    // syntax errors so the user sees all problems in one pass. Machine
+    // names must be unique: the solver and the room look machines up
+    // by name. An empty name is already an error of its own.
+    std::unordered_set<std::string_view> names;
     for (const core::MachineSpec &machine : result.config.machines) {
+        if (!machine.name.empty() && !names.insert(machine.name).second)
+            result.errors.push_back("duplicate machine '" + machine.name +
+                                    "'");
         for (const std::string &problem : validate(machine))
             result.errors.push_back(problem);
     }

@@ -8,6 +8,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -194,6 +196,25 @@ machine m {
 )");
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.errors[0].find("summing"), std::string::npos);
+}
+
+TEST(Parser, DuplicateMachineIsAConfigErrorNotABootAbort)
+{
+    // table1_server.dot appended to itself declares 'server' twice.
+    // Accepted, it would abort the Solver at the second addMachine.
+    std::ifstream in(MERCURY_CONFIG_DIR "/table1_server.dot");
+    ASSERT_TRUE(in);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    std::string doubled = buffer.str() + buffer.str();
+    EXPECT_EQ(parseConfig(doubled).errors,
+              std::vector<std::string>{"duplicate machine 'server'"});
+
+    std::string path = ::testing::TempDir() + "doubled_server.dot";
+    std::ofstream(path) << doubled;
+    EXPECT_EXIT(loadConfigFile(path), ::testing::ExitedWithCode(1),
+                "fatal: errors in config .*\n  duplicate machine 'server'");
+    std::remove(path.c_str());
 }
 
 TEST(Parser, RecoversAndReportsMultipleErrors)

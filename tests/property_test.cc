@@ -304,6 +304,7 @@ INSTANTIATE_TEST_SUITE_P(
             "cluster c { machine m uses; }",
             {"line 1:27: expected a name for the machine template, found ';'",
              "room 'c': machine node 'm' references unknown machine ''",
+             "room 'c': no air source",
              "room 'c': node 'm' has outgoing fractions summing to 0.000000 "
              "(expected 1)"}},
         DiagnosticsCase{
@@ -336,6 +337,7 @@ INSTANTIATE_TEST_SUITE_P(
             "machine m1 {} machine m1 {}",
             {"machine 'm1': expected exactly 1 inlet, found 0",
              "machine 'm1': expected exactly 1 exhaust, found 0",
+             "duplicate machine 'm1'",
              "machine 'm1': expected exactly 1 inlet, found 0",
              "machine 'm1': expected exactly 1 exhaust, found 0"}},
         DiagnosticsCase{
@@ -476,7 +478,10 @@ INSTANTIATE_TEST_SUITE_P(
         DiagnosticsCase{
             "room r { source ac; mix x; sink s; ac -> x [fraction=1]; x -> x "
             "[fraction=1]; }",
-            {"room 'r': room air graph has a cycle"}}));
+            {"room 'r': room air graph has a cycle"}},
+        DiagnosticsCase{
+            "room r { mix x; sink s; x -> s [fraction=1]; }",
+            {"room 'r': no air source"}}));
 
 // ---------------------------------------------------------------------
 // Property: weighted least connections keeps equal-weight servers
