@@ -181,14 +181,23 @@ def exit_code(verdicts):
     return 2 if "MISSING" in found else 1 if "FAIL" in found else 0
 
 
-def build():
-    """Configure in Release and bring the five bench programs up to date."""
-    os.makedirs(BUILD_DIR, exist_ok=True)
-    log_path = os.path.join(BUILD_DIR, "build.log")
+def configure_command():
+    """The Release configure step. A fresh tree gets Ninja when it is
+    installed; a configured one keeps its generator, since cmake
+    refuses a -G that differs from the one in its cache."""
     configure = ["cmake", "-S", ".", "-B", BUILD_DIR,
                  "-DCMAKE_BUILD_TYPE=" + BUILD_TYPE]
-    if shutil.which("ninja"):
+    configured = os.path.isfile(os.path.join(BUILD_DIR, "CMakeCache.txt"))
+    if not configured and shutil.which("ninja"):
         configure += ["-G", "Ninja"]
+    return configure
+
+
+def build():
+    """Configure in Release and bring the five bench programs up to date."""
+    configure = configure_command()
+    os.makedirs(BUILD_DIR, exist_ok=True)
+    log_path = os.path.join(BUILD_DIR, "build.log")
     make = ["cmake", "--build", BUILD_DIR, "-j", str(os.cpu_count() or 1),
             "--target"] + list(BENCHES.values())
     with open(log_path, "w") as log:

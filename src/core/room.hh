@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -89,19 +90,46 @@ class RoomModel
     /** True when a directed edge from -> to exists. */
     bool hasEdge(const std::string &from, const std::string &to) const;
 
-    /** @name Checkpoint enumeration (src/state capture/restore) */
+    /** @name Checkpoint enumeration (src/state capture/restore)
+     * Vertices by index in spec order (nodeNames()' order) and edges
+     * by index, so a checkpoint reads them without name lookups. A
+     * view's names point into this model.
+     */
     /// @{
 
     struct EdgeView
     {
-        std::string from;
-        std::string to;
+        std::string_view from;
+        std::string_view to;
         double fraction;
     };
 
     size_t edgeCount() const { return edges_.size(); }
     EdgeView edge(size_t index) const;
+    double edgeFraction(size_t index) const
+    {
+        return edges_.at(index).fraction;
+    }
     void setEdgeFraction(size_t index, double fraction);
+
+    size_t nodeCount() const { return nodes_.size(); }
+    std::string_view nodeName(size_t vertex) const
+    {
+        return nodes_.at(vertex).name;
+    }
+    bool isSource(size_t vertex) const
+    {
+        return nodes_.at(vertex).kind == RoomNodeKind::Source;
+    }
+    double temperature(size_t vertex) const
+    {
+        return nodes_.at(vertex).temperature;
+    }
+    /** The forced inlet of a Machine vertex; nullopt for any other. */
+    std::optional<double> inletOverride(size_t vertex) const
+    {
+        return nodes_.at(vertex).inletOverride;
+    }
 
     /// @}
 

@@ -233,6 +233,15 @@ Solver::machine(const std::string &machine_name) const
     return *machines_[it->second];
 }
 
+std::optional<size_t>
+Solver::machineIndex(std::string_view machine_name) const
+{
+    auto it = machineIndex_.find(machine_name);
+    if (it == machineIndex_.end())
+        return std::nullopt;
+    return it->second;
+}
+
 std::vector<std::string>
 Solver::machineNames() const
 {

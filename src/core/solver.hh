@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/room.hh"
@@ -126,6 +127,19 @@ class Solver
     ThermalGraph &machine(const std::string &machine_name);
     const ThermalGraph &machine(const std::string &machine_name) const;
     std::vector<std::string> machineNames() const;
+
+    /** Machines by index, in addMachine order (machineNames()' order),
+     *  so a checkpoint walks them without name lookups. */
+    size_t machineCount() const { return machines_.size(); }
+    ThermalGraph &machine(size_t index) { return *machines_.at(index); }
+    const ThermalGraph &
+    machine(size_t index) const
+    {
+        return *machines_.at(index);
+    }
+
+    /** Index of the named machine; nullopt when there is none. */
+    std::optional<size_t> machineIndex(std::string_view machine_name) const;
 
     /// @}
     /** @name Time stepping */
@@ -380,7 +394,7 @@ class Solver
 
     SolverConfig config_;
     std::vector<std::unique_ptr<ThermalGraph>> machines_;
-    std::map<std::string, size_t> machineIndex_;
+    std::map<std::string, size_t, std::less<>> machineIndex_;
     std::unique_ptr<RoomModel> room_;
     std::map<std::string, std::string> aliases_;
 

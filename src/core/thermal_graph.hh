@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -233,30 +234,32 @@ class ThermalGraph
      * Index-based views over the mutable constants so a checkpoint can
      * enumerate them without knowing edge names, and index-based
      * setters that maintain the CSR/substep caches exactly like their
-     * named counterparts.
+     * named counterparts. A view's names point into this graph.
      */
     /// @{
 
     struct HeatEdgeView
     {
-        std::string a;
-        std::string b;
+        std::string_view a;
+        std::string_view b;
         double k;
     };
 
     struct AirEdgeView
     {
-        std::string from;
-        std::string to;
+        std::string_view from;
+        std::string_view to;
         double fraction;
     };
 
     size_t heatEdgeCount() const { return batch_->topology().heatA.size(); }
     HeatEdgeView heatEdge(size_t index) const;
+    double heatK(size_t index) const { return heatEdge(index).k; }
     void setHeatK(size_t index, double k);
 
     size_t airEdgeCount() const { return airFraction_.size(); }
     AirEdgeView airEdge(size_t index) const;
+    double airFraction(size_t index) const { return airFraction_.at(index); }
     void setAirFraction(size_t index, double fraction);
 
     /** Powered node ids, ascending. */

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -93,7 +94,7 @@ UdpSocket::~UdpSocket()
 }
 
 UdpSocket::UdpSocket(UdpSocket &&other) noexcept
-    : fd_(other.fd_)
+    : fd_(other.fd_), receiveTimeoutMicros_(other.receiveTimeoutMicros_)
 {
     other.fd_ = -1;
 }
@@ -105,6 +106,7 @@ UdpSocket::operator=(UdpSocket &&other) noexcept
         if (fd_ >= 0)
             ::close(fd_);
         fd_ = other.fd_;
+        receiveTimeoutMicros_ = other.receiveTimeoutMicros_;
         other.fd_ = -1;
     }
     return *this;
@@ -250,6 +252,28 @@ UdpSocket::recvFrom(void *buffer, size_t capacity, Endpoint *from,
     }
 }
 
+bool
+UdpSocket::setReceiveTimeout(double timeout_seconds)
+{
+    // Microseconds, rounded up so a positive wait never becomes 0 (no
+    // bound); 1e9 s caps the conversion.
+    int64_t micros = 0;
+    if (timeout_seconds >= 0) {
+        micros = std::max<int64_t>(
+            1, static_cast<int64_t>(
+                   std::ceil(std::min(timeout_seconds, 1e9) * 1e6)));
+    }
+    if (micros == receiveTimeoutMicros_)
+        return true;
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(micros / 1000000);
+    tv.tv_usec = static_cast<suseconds_t>(micros % 1000000);
+    if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) < 0)
+        return false;
+    receiveTimeoutMicros_ = micros;
+    return true;
+}
+
 size_t
 UdpSocket::recvMany(void *buffers, size_t capacity, RecvDatagram *out,
                     size_t count, double timeout_seconds)
@@ -258,54 +282,75 @@ UdpSocket::recvMany(void *buffers, size_t capacity, RecvDatagram *out,
         return 0;
     if (count > kMaxBatch)
         count = kMaxBatch;
-
-    // Block (bounded) for the first datagram only; the rest of the
-    // batch is whatever is already queued. This keeps worst-case
-    // latency at one datagram while amortizing syscalls under load.
     uint8_t *base = static_cast<uint8_t *>(buffers);
+
+#ifdef __linux__
+    if (batchSyscallsEnabled()) {
+        mmsghdr msgs[kMaxBatch];
+        iovec iovs[kMaxBatch];
+        sockaddr_in addrs[kMaxBatch];
+        for (size_t i = 0; i < count; ++i) {
+            std::memset(&msgs[i], 0, sizeof(msgs[i]));
+            iovs[i].iov_base = base + i * capacity;
+            iovs[i].iov_len = capacity;
+            msgs[i].msg_hdr.msg_iov = &iovs[i];
+            msgs[i].msg_hdr.msg_iovlen = 1;
+            msgs[i].msg_hdr.msg_name = &addrs[i];
+            msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
+        }
+
+        using Clock = std::chrono::steady_clock;
+        const bool bounded = timeout_seconds >= 0;
+        const Clock::time_point deadline =
+            bounded ? Clock::now() +
+                          std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(timeout_seconds))
+                    : Clock::time_point{};
+        double wait = bounded ? timeout_seconds : -1.0;
+        for (;;) {
+            // MSG_WAITFORONE: wait (under SO_RCVTIMEO) for the first
+            // datagram only, then take what is already queued.
+            int flags = MSG_WAITFORONE;
+            if (bounded && wait <= 0.0)
+                flags |= MSG_DONTWAIT;
+            else if (!setReceiveTimeout(wait))
+                return 0;
+            int got = ::recvmmsg(fd_, msgs, static_cast<unsigned>(count),
+                                 flags, nullptr);
+            if (got > 0) {
+                for (int i = 0; i < got; ++i) {
+                    out[i].length = msgs[i].msg_len;
+                    out[i].from.address = addrs[i].sin_addr.s_addr;
+                    out[i].from.port = ntohs(addrs[i].sin_port);
+                }
+                return static_cast<size_t>(got);
+            }
+            const int error = errno;
+            if (got == 0 || (error != EINTR && error != EAGAIN &&
+                             error != EWOULDBLOCK))
+                return 0;
+            if (!bounded)
+                continue; // EINTR: wait again
+            // EAGAIN at the deadline is the timeout. EINTR (which an
+            // SO_RCVTIMEO wait returns even under SA_RESTART) resumes
+            // the wait for the rest of the budget; a spent budget gets
+            // one last look without blocking, like recvFrom's final
+            // poll.
+            wait = std::chrono::duration<double>(deadline - Clock::now())
+                       .count();
+            if (error != EINTR && wait <= 0.0)
+                return 0;
+        }
+    }
+#endif
+
+    // Portable fallback: block (bounded) for the first datagram only,
+    // then a non-blocking single-datagram drain.
     auto first = recvFrom(base, capacity, &out[0].from, timeout_seconds);
     if (!first)
         return 0;
     out[0].length = *first;
     size_t received = 1;
-
-#ifdef __linux__
-    if (batchSyscallsEnabled()) {
-        while (received < count) {
-            mmsghdr msgs[kMaxBatch];
-            iovec iovs[kMaxBatch];
-            sockaddr_in addrs[kMaxBatch];
-            size_t want = count - received;
-            for (size_t i = 0; i < want; ++i) {
-                std::memset(&msgs[i], 0, sizeof(msgs[i]));
-                iovs[i].iov_base = base + (received + i) * capacity;
-                iovs[i].iov_len = capacity;
-                msgs[i].msg_hdr.msg_iov = &iovs[i];
-                msgs[i].msg_hdr.msg_iovlen = 1;
-                msgs[i].msg_hdr.msg_name = &addrs[i];
-                msgs[i].msg_hdr.msg_namelen = sizeof(addrs[i]);
-            }
-            int got = ::recvmmsg(fd_, msgs, static_cast<unsigned>(want),
-                                 MSG_DONTWAIT, nullptr);
-            if (got < 0) {
-                if (errno == EINTR)
-                    continue;
-                break; // EAGAIN: the queue is drained
-            }
-            for (int i = 0; i < got; ++i) {
-                out[received].length = msgs[i].msg_len;
-                out[received].from.address = addrs[i].sin_addr.s_addr;
-                out[received].from.port = ntohs(addrs[i].sin_port);
-                ++received;
-            }
-            if (static_cast<size_t>(got) < want)
-                break;
-        }
-        return received;
-    }
-#endif
-
-    // Portable fallback: non-blocking single-datagram drain.
     while (received < count) {
         auto more = recvFrom(base + received * capacity, capacity,
                              &out[received].from, 0.0);

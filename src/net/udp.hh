@@ -103,8 +103,23 @@ class UdpSocket
      * blocking again. Datagram i lands at @p buffers + i * @p capacity
      * (truncated to @p capacity bytes) with its size and sender in
      * @p out[i]. Returns the number received: 0 on timeout, and never
-     * blocks once the first datagram has been read. EINTR is retried
-     * with the remaining budget, like recvFrom.
+     * blocks once the first datagram has been read.
+     *
+     * With batching on (Linux), a wake-up costs one syscall:
+     * recvmmsg(MSG_WAITFORONE), which waits for the first datagram
+     * and takes the rest of the batch from what is already queued. A
+     * positive timeout is the socket's SO_RCVTIMEO, set (one more
+     * syscall) only when it differs from the value the last call
+     * left; 0 adds MSG_DONTWAIT and leaves SO_RCVTIMEO alone; a
+     * negative timeout clears it and waits without bound. The
+     * fallback polls, then drains with single-datagram receives.
+     *
+     * An interrupted wait never looks like a timeout: EINTR, which an
+     * SO_RCVTIMEO wait returns even under SA_RESTART, resumes the wait
+     * for the rest of the budget, and once the budget is spent one
+     * last non-blocking receive decides, like recvFrom's final poll.
+     * A wait that ends without a datagram before the deadline resumes
+     * too.
      */
     size_t recvMany(void *buffers, size_t capacity, RecvDatagram *out,
                     size_t count, double timeout_seconds);
@@ -135,7 +150,12 @@ class UdpSocket
     int fd() const { return fd_; }
 
   private:
+    /** Make SO_RCVTIMEO @p timeout_seconds (< 0: no bound) unless it
+     *  already is; false when the socket refuses. */
+    bool setReceiveTimeout(double timeout_seconds);
+
     int fd_ = -1;
+    int64_t receiveTimeoutMicros_ = 0; //!< SO_RCVTIMEO as set; 0 = none
 };
 
 } // namespace net

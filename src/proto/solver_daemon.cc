@@ -138,7 +138,9 @@ SolverDaemon::setupReplication()
     if (!standby && config_.replicationPort < 0 && config_.walPath.empty())
         return;
 
-    topologyHash_ = state::topologyHash(solver_);
+    // The checkpoint manager hashed the same topology at construction.
+    topologyHash_ = checkpointManager_ ? checkpointManager_->topologyHash()
+                                       : state::topologyHash(solver_);
     role_.store(standby ? 1 : 0, std::memory_order_relaxed);
 
     metricsGuard_.add(*registry_, "replica_role",

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/solver.hh"
@@ -36,6 +37,18 @@ nowNanos()
             .count());
 }
 
+/** atomicWriteFile() of an encoded checkpoint. */
+bool
+writeCheckpointBytes(const std::string &path,
+                     const std::vector<uint8_t> &bytes, std::string *error)
+{
+    return atomicWriteFile(
+        path,
+        std::string_view(reinterpret_cast<const char *>(bytes.data()),
+                         bytes.size()),
+        error);
+}
+
 } // namespace
 
 uint64_t
@@ -43,11 +56,10 @@ topologyHash(const core::Solver &solver)
 {
     Fnv1a fnv;
     fnv.str("mercury-topology-v1");
-    std::vector<std::string> names = solver.machineNames();
-    fnv.u64(names.size());
-    for (const std::string &name : names) {
-        const core::ThermalGraph &machine = solver.machine(name);
-        fnv.str(name);
+    fnv.u64(solver.machineCount());
+    for (size_t m = 0; m < solver.machineCount(); ++m) {
+        const core::ThermalGraph &machine = solver.machine(m);
+        fnv.str(machine.name());
         fnv.u64(machine.nodeCount());
         for (size_t id = 0; id < machine.nodeCount(); ++id)
             fnv.str(machine.nodeName(id));
@@ -70,8 +82,8 @@ topologyHash(const core::Solver &solver)
     fnv.u64(solver.hasRoom() ? 1 : 0);
     if (solver.hasRoom()) {
         const core::RoomModel &room = solver.room();
-        for (const std::string &name : room.nodeNames())
-            fnv.str(name);
+        for (size_t v = 0; v < room.nodeCount(); ++v)
+            fnv.str(room.nodeName(v));
         fnv.u64(room.edgeCount());
         for (size_t i = 0; i < room.edgeCount(); ++i) {
             core::RoomModel::EdgeView edge = room.edge(i);
@@ -82,72 +94,127 @@ topologyHash(const core::Solver &solver)
     return fnv.value();
 }
 
+namespace {
+
+/** Element @p n of @p items, appended when @p items is that short:
+ *  the in-place capture overwrites what the last one left. */
+template <typename T>
+T &
+slot(std::vector<T> &items, size_t n)
+{
+    if (n == items.size())
+        items.emplace_back();
+    return items[n];
+}
+
+void
+captureMachine(const core::ThermalGraph &machine, MachineState &ms)
+{
+    ms.name = machine.name();
+    size_t nodes = machine.nodeCount();
+    ms.temperatures.resize(nodes);
+    ms.pinned.resize(nodes);
+    ms.pinValues.resize(nodes);
+    for (size_t id = 0; id < nodes; ++id) {
+        bool pinned = machine.isPinned(id);
+        ms.temperatures[id] = machine.temperature(id);
+        ms.pinned[id] = pinned ? 1 : 0;
+        ms.pinValues[id] = pinned ? machine.pinnedTemperature(id) : 0.0;
+    }
+    const std::vector<core::NodeId> &powered = machine.poweredNodeIds();
+    ms.powered.resize(powered.size());
+    for (size_t i = 0; i < powered.size(); ++i) {
+        MachineState::PoweredState &ps = ms.powered[i];
+        ps.id = powered[i];
+        ps.utilization = machine.utilization(powered[i]);
+        ps.basePower = machine.basePower(powered[i]);
+        ps.maxPower = machine.maxPower(powered[i]);
+    }
+    ms.heatKs.resize(machine.heatEdgeCount());
+    for (size_t i = 0; i < ms.heatKs.size(); ++i)
+        ms.heatKs[i] = machine.heatK(i);
+    ms.airFractions.resize(machine.airEdgeCount());
+    for (size_t i = 0; i < ms.airFractions.size(); ++i)
+        ms.airFractions[i] = machine.airFraction(i);
+    ms.fanCfm = machine.fanCfm();
+    ms.energyConsumed = machine.energyConsumed();
+}
+
+void
+captureRoom(const core::Solver &solver, RoomState &rs)
+{
+    const core::RoomModel &room = solver.room();
+    size_t sources = 0;
+    size_t overrides = 0;
+    for (size_t v = 0; v < room.nodeCount(); ++v) {
+        if (room.isSource(v)) {
+            auto &[name, temp] = slot(rs.sources, sources++);
+            name = room.nodeName(v);
+            temp = room.temperature(v);
+        } else if (std::optional<double> value = room.inletOverride(v)) {
+            // Only a vertex named after a machine is saved.
+            if (!solver.machineIndex(room.nodeName(v)))
+                continue;
+            auto &[name, temp] = slot(rs.inletOverrides, overrides++);
+            name = room.nodeName(v);
+            temp = *value;
+        }
+    }
+    rs.sources.resize(sources);
+    rs.inletOverrides.resize(overrides);
+    // The file lists overrides in the solver's machine order, which a
+    // room may not share. Overrides are rare, so the name lookups of
+    // this sort cost nothing in a steady save.
+    std::sort(rs.inletOverrides.begin(), rs.inletOverrides.end(),
+              [&](const auto &a, const auto &b) {
+                  return *solver.machineIndex(a.first) <
+                         *solver.machineIndex(b.first);
+              });
+
+    rs.edgeFractions.resize(room.edgeCount());
+    for (size_t i = 0; i < rs.edgeFractions.size(); ++i)
+        rs.edgeFractions[i] = room.edgeFraction(i);
+}
+
+} // namespace
+
+void
+captureSolver(const core::Solver &solver, uint64_t topology_hash,
+              Checkpoint *out)
+{
+    Checkpoint &checkpoint = *out;
+    checkpoint.iterations = solver.iterations();
+    checkpoint.iterationSeconds = solver.iterationSeconds();
+    checkpoint.topologyHash = topology_hash;
+    checkpoint.machines.resize(solver.machineCount());
+    for (size_t m = 0; m < solver.machineCount(); ++m)
+        captureMachine(solver.machine(m), checkpoint.machines[m]);
+    if (solver.hasRoom()) {
+        if (!checkpoint.room)
+            checkpoint.room.emplace();
+        captureRoom(solver, *checkpoint.room);
+    } else {
+        checkpoint.room.reset();
+    }
+}
+
 Checkpoint
 captureSolver(const core::Solver &solver)
 {
     Checkpoint checkpoint;
-    checkpoint.iterations = solver.iterations();
-    checkpoint.iterationSeconds = solver.iterationSeconds();
-    checkpoint.topologyHash = topologyHash(solver);
-
-    for (const std::string &name : solver.machineNames()) {
-        const core::ThermalGraph &machine = solver.machine(name);
-        MachineState ms;
-        ms.name = name;
-        ms.temperatures = machine.temperatures();
-        ms.pinned.reserve(machine.nodeCount());
-        ms.pinValues.reserve(machine.nodeCount());
-        for (size_t id = 0; id < machine.nodeCount(); ++id) {
-            bool pinned = machine.isPinned(id);
-            ms.pinned.push_back(pinned ? 1 : 0);
-            ms.pinValues.push_back(pinned ? machine.pinnedTemperature(id)
-                                          : 0.0);
-        }
-        for (core::NodeId id : machine.poweredNodeIds()) {
-            MachineState::PoweredState ps;
-            ps.id = id;
-            ps.utilization = machine.utilization(id);
-            ps.basePower = machine.basePower(id);
-            ps.maxPower = machine.maxPower(id);
-            ms.powered.push_back(ps);
-        }
-        for (size_t i = 0; i < machine.heatEdgeCount(); ++i)
-            ms.heatKs.push_back(machine.heatEdge(i).k);
-        for (size_t i = 0; i < machine.airEdgeCount(); ++i)
-            ms.airFractions.push_back(machine.airEdge(i).fraction);
-        ms.fanCfm = machine.fanCfm();
-        ms.energyConsumed = machine.energyConsumed();
-        checkpoint.machines.push_back(std::move(ms));
-    }
-
-    if (solver.hasRoom()) {
-        const core::RoomModel &room = solver.room();
-        RoomState rs;
-        for (const std::string &name : room.nodeNames()) {
-            if (room.isSource(name))
-                rs.sources.emplace_back(name, room.temperature(name));
-        }
-        for (size_t i = 0; i < room.edgeCount(); ++i)
-            rs.edgeFractions.push_back(room.edge(i).fraction);
-        for (const std::string &name : solver.machineNames()) {
-            if (!room.hasNode(name))
-                continue;
-            std::optional<double> override = room.inletOverride(name);
-            if (override)
-                rs.inletOverrides.emplace_back(name, *override);
-        }
-        checkpoint.room = std::move(rs);
-    }
+    captureSolver(solver, topologyHash(solver), &checkpoint);
     return checkpoint;
 }
 
+namespace {
+
+/** restoreSolver() against a known topologyHash(solver). */
 bool
-restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
-              std::string *error)
+restoreChecked(core::Solver &solver, const Checkpoint &checkpoint,
+               uint64_t live_hash, std::string *error)
 {
     // Phase 1: verify every shape against the live solver before
     // touching anything, so a refused restore leaves it pristine.
-    uint64_t live_hash = topologyHash(solver);
     if (checkpoint.topologyHash != live_hash) {
         setError(error, "topology hash mismatch (checkpoint " +
                             std::to_string(checkpoint.topologyHash) +
@@ -162,18 +229,18 @@ restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
                      std::to_string(solver.iterationSeconds()) + " s)");
         return false;
     }
-    std::vector<std::string> names = solver.machineNames();
-    if (checkpoint.machines.size() != names.size()) {
+    const size_t machines = solver.machineCount();
+    if (checkpoint.machines.size() != machines) {
         setError(error, "machine count mismatch");
         return false;
     }
-    for (size_t m = 0; m < names.size(); ++m) {
+    for (size_t m = 0; m < machines; ++m) {
         const MachineState &ms = checkpoint.machines[m];
-        if (ms.name != names[m]) {
+        const core::ThermalGraph &machine = std::as_const(solver).machine(m);
+        if (ms.name != machine.name()) {
             setError(error, "machine name mismatch: " + ms.name);
             return false;
         }
-        const core::ThermalGraph &machine = solver.machine(names[m]);
         if (ms.temperatures.size() != machine.nodeCount() ||
             ms.pinned.size() != machine.nodeCount() ||
             ms.pinValues.size() != machine.nodeCount() ||
@@ -219,9 +286,9 @@ restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
 
     // Phase 2: apply. Constants first (they rebuild the flow/substep
     // caches), pins next, temperatures last so the snapshot values win.
-    for (size_t m = 0; m < names.size(); ++m) {
+    for (size_t m = 0; m < machines; ++m) {
         const MachineState &ms = checkpoint.machines[m];
-        core::ThermalGraph &machine = solver.machine(names[m]);
+        core::ThermalGraph &machine = solver.machine(m);
         for (size_t i = 0; i < ms.heatKs.size(); ++i)
             machine.setHeatK(i, ms.heatKs[i]);
         for (size_t i = 0; i < ms.airFractions.size(); ++i)
@@ -254,7 +321,8 @@ restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
             room.setSourceTemperature(name, temp);
         for (size_t i = 0; i < checkpoint.room->edgeFractions.size(); ++i)
             room.setEdgeFraction(i, checkpoint.room->edgeFractions[i]);
-        for (const std::string &name : names) {
+        for (size_t m = 0; m < machines; ++m) {
+            const std::string &name = solver.machine(m).name();
             if (room.hasNode(name))
                 room.setInletOverride(name, std::nullopt);
         }
@@ -268,14 +336,59 @@ restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
     return true;
 }
 
-std::vector<uint8_t>
-encodeCheckpoint(const Checkpoint &checkpoint)
+} // namespace
+
+bool
+restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
+              std::string *error)
 {
-    std::vector<uint8_t> bytes;
-    ByteWriter out(bytes);
+    return restoreChecked(solver, checkpoint, topologyHash(solver), error);
+}
+
+namespace {
+
+/** Bytes encodeCheckpoint() writes for @p checkpoint, header included. */
+size_t
+encodedSize(const Checkpoint &checkpoint)
+{
+    constexpr size_t kU8 = 1, kU32 = 4, kU64 = 8;
+    size_t size = kHeaderBytes + 4 * kU64 + kU32;
+    for (const MachineState &ms : checkpoint.machines) {
+        size += kU32 + ms.name.size();
+        size += kU32 + ms.temperatures.size() * kU64;
+        size += ms.pinned.size() + ms.pinValues.size() * kU64;
+        size += kU32 + ms.powered.size() * 4 * kU64;
+        size += kU32 + ms.heatKs.size() * kU64;
+        size += kU32 + ms.airFractions.size() * kU64;
+        size += 2 * kU64;
+    }
+    size += kU8;
+    if (checkpoint.room) {
+        const RoomState &rs = *checkpoint.room;
+        size += kU32;
+        for (const auto &source : rs.sources)
+            size += kU32 + source.first.size() + kU64;
+        size += kU32 + rs.edgeFractions.size() * kU64;
+        size += kU32;
+        for (const auto &entry : rs.inletOverrides)
+            size += kU32 + entry.first.size() + kU64;
+    }
+    size += kU32;
+    for (const SenderRecord &sender : checkpoint.senders)
+        size += kU32 + sender.machine.size() + kU8 + 6 * kU64 + kU32;
+    return size;
+}
+
+} // namespace
+
+void
+encodeCheckpoint(const Checkpoint &checkpoint, std::vector<uint8_t> *bytes)
+{
+    bytes->resize(encodedSize(checkpoint));
+    ByteWriter out(bytes->data(), bytes->size());
     out.u32(kCheckpointMagic);
     out.u32(kCheckpointVersion);
-    out.u64(0); // payload length, patched below
+    out.u64(bytes->size() - kHeaderBytes); // payload length
     out.u32(0); // payload CRC, patched below
     out.u32(0); // reserved
 
@@ -341,9 +454,18 @@ encodeCheckpoint(const Checkpoint &checkpoint)
         out.u32(sender.lastBacklog);
     }
 
-    size_t body_bytes = out.offset() - kHeaderBytes;
-    out.patchU64(8, body_bytes);
-    out.patchU32(16, crc32c(bytes.data() + kHeaderBytes, body_bytes));
+    if (out.offset() != bytes->size())
+        MERCURY_PANIC("encodeCheckpoint: wrote ", out.offset(),
+                      " bytes, sized ", bytes->size());
+    out.patchU32(16, crc32c(bytes->data() + kHeaderBytes,
+                            bytes->size() - kHeaderBytes));
+}
+
+std::vector<uint8_t>
+encodeCheckpoint(const Checkpoint &checkpoint)
+{
+    std::vector<uint8_t> bytes;
+    encodeCheckpoint(checkpoint, &bytes);
     return bytes;
 }
 
@@ -506,12 +628,7 @@ bool
 saveCheckpointFile(const std::string &path, const Checkpoint &checkpoint,
                    std::string *error)
 {
-    std::vector<uint8_t> bytes = encodeCheckpoint(checkpoint);
-    return atomicWriteFile(
-        path,
-        std::string_view(reinterpret_cast<const char *>(bytes.data()),
-                         bytes.size()),
-        error);
+    return writeCheckpointBytes(path, encodeCheckpoint(checkpoint), error);
 }
 
 bool
@@ -524,7 +641,8 @@ loadCheckpointFile(const std::string &path, Checkpoint *out,
 }
 
 CheckpointManager::CheckpointManager(core::Solver &solver, Config config)
-    : solver_(solver), config_(std::move(config))
+    : solver_(solver), config_(std::move(config)),
+      topologyHash_(state::topologyHash(solver))
 {
 }
 
@@ -544,7 +662,7 @@ CheckpointManager::restoreAtBoot()
             inform("no checkpoint at ", config_.path, "; cold start");
         return false;
     }
-    if (!restoreSolver(solver_, checkpoint, &why)) {
+    if (!restoreChecked(solver_, checkpoint, topologyHash_, &why)) {
         warn("checkpoint ", config_.path, " does not match this config (",
              why, "); cold start");
         return false;
@@ -566,18 +684,21 @@ CheckpointManager::saveNow(std::string *error)
         setError(error, "no checkpoint path configured");
         return false;
     }
-    Checkpoint checkpoint = captureSolver(solver_);
-    checkpoint.saveCount = saveCount_ + 1;
+    captureSolver(solver_, topologyHash_, &checkpoint_);
+    checkpoint_.saveCount = saveCount_ + 1;
     if (senderExporter_)
-        checkpoint.senders = senderExporter_();
+        checkpoint_.senders = senderExporter_();
+    else
+        checkpoint_.senders.clear();
+    encodeCheckpoint(checkpoint_, &bytes_);
     std::string why;
-    if (!saveCheckpointFile(config_.path, checkpoint, &why)) {
+    if (!writeCheckpointBytes(config_.path, bytes_, &why)) {
         ++failedSaves_;
         warn("checkpoint save to ", config_.path, " failed: ", why);
         setError(error, why);
         return false;
     }
-    saveCount_ = checkpoint.saveCount;
+    saveCount_ = checkpoint_.saveCount;
     everSaved_ = true;
     lastSaveNanos_ = nowNanos();
     return true;

@@ -121,6 +121,17 @@ uint64_t topologyHash(const core::Solver &solver);
 Checkpoint captureSolver(const core::Solver &solver);
 
 /**
+ * The capture behind captureSolver(), in place: every solver field of
+ * @p out is overwritten, with @p topology_hash (the caller's
+ * topologyHash(solver)) as its hash. Its vectors and strings are
+ * resized, not rebuilt, so capturing an unchanged solver into the
+ * same Checkpoint again allocates nothing. saveCount and senders are
+ * the caller's and are left alone.
+ */
+void captureSolver(const core::Solver &solver, uint64_t topology_hash,
+                   Checkpoint *out);
+
+/**
  * Write @p checkpoint back into @p solver. Verifies the topology hash
  * and every per-machine shape first; on mismatch returns false with a
  * diagnostic in @p error and leaves the solver untouched. Power ranges
@@ -136,6 +147,14 @@ bool restoreSolver(core::Solver &solver, const Checkpoint &checkpoint,
 
 /** Serialize to the versioned on-disk payload (header included). */
 std::vector<uint8_t> encodeCheckpoint(const Checkpoint &checkpoint);
+
+/**
+ * The encoder behind encodeCheckpoint(): resize @p out to the exact
+ * encoded size and fill it. Encoding into a buffer that already has
+ * the capacity allocates nothing.
+ */
+void encodeCheckpoint(const Checkpoint &checkpoint,
+                      std::vector<uint8_t> *out);
 
 /**
  * Parse an encoded checkpoint. Every read is bounds-checked and every
@@ -172,6 +191,11 @@ bool loadCheckpointFile(const std::string &path, Checkpoint *out,
  * restore, and the observability counters `fiddle stats` reports.
  * Single-threaded by design — the solver daemon interleaves packets
  * and timers on one thread, and the trace runner is synchronous.
+ *
+ * A save reuses what does not change between saves: the topology
+ * hash, computed once at construction, and the Checkpoint and byte
+ * buffer of the previous save, which the next capture and encode
+ * overwrite in place.
  */
 class CheckpointManager
 {
@@ -182,7 +206,16 @@ class CheckpointManager
         double periodSeconds = 30.0; //!< timer period; <= 0 disables
     };
 
+    /**
+     * Build the manager once the solver's topology is final: every
+     * machine, its powered nodes and the room must be in place. The
+     * constructor hashes that topology, and every save and the boot
+     * restore check use the hash.
+     */
     CheckpointManager(core::Solver &solver, Config config);
+
+    /** topologyHash() of the solver, as of construction. */
+    uint64_t topologyHash() const { return topologyHash_; }
 
     /** Protocol-layer glue: how to snapshot / reinstall senders. */
     void setSenderExporter(std::function<std::vector<SenderRecord>()> fn)
@@ -224,6 +257,9 @@ class CheckpointManager
   private:
     core::Solver &solver_;
     Config config_;
+    uint64_t topologyHash_;
+    Checkpoint checkpoint_;      //!< the last save's capture, reused
+    std::vector<uint8_t> bytes_; //!< the last save's encoding, reused
     std::function<std::vector<SenderRecord>()> senderExporter_;
     std::function<void(const std::vector<SenderRecord> &)> senderImporter_;
     bool restored_ = false;

@@ -3,12 +3,16 @@
 
 Each gate must pass on its side of the threshold and fail just past
 it, skip where it needs more cores than the host has, and name what is
-missing when a report, row or median is absent. No bench program runs.
+missing when a report, row or median is absent. The configure step must
+keep the generator of an already configured build tree. No bench
+program runs.
 """
 
 import importlib.util
 import os
+import tempfile
 import unittest
+from unittest import mock
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                       "scripts", "bench.py")
@@ -174,6 +178,36 @@ class GateTest(unittest.TestCase):
                          ["FAIL"] + ["PASS"] * 3 + ["MISSING"] * 2)
         self.assertIn("BENCH_replica.json", judged[4][3])
         self.assertEqual(bench.exit_code(judged), 2)
+
+
+class ConfigureTest(unittest.TestCase):
+    """The configure step keeps the generator of a configured tree."""
+
+    RELEASE = ["cmake", "-S", ".", "-B", bench.BUILD_DIR,
+               "-DCMAKE_BUILD_TYPE=Release"]
+
+    def setUp(self):
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.addCleanup(os.chdir, os.getcwd())
+        os.chdir(tmp.name)
+
+    def configure(self, ninja):
+        with mock.patch.object(bench.shutil, "which",
+                               return_value="/usr/bin/ninja" if ninja
+                               else None):
+            return bench.configure_command()
+
+    def test_fresh_tree_picks_ninja_when_installed(self):
+        self.assertEqual(self.configure(ninja=True),
+                         self.RELEASE + ["-G", "Ninja"])
+        self.assertEqual(self.configure(ninja=False), self.RELEASE)
+
+    def test_configured_tree_keeps_its_generator(self):
+        os.makedirs(bench.BUILD_DIR)
+        with open(os.path.join(bench.BUILD_DIR, "CMakeCache.txt"), "w"):
+            pass
+        self.assertEqual(self.configure(ninja=True), self.RELEASE)
 
 
 if __name__ == "__main__":

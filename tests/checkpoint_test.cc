@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/trace.hh"
 #include "fiddle/command.hh"
 #include "state/checkpoint.hh"
+#include "util/crc32c.hh"
 #include "util/fileio.hh"
 
 namespace mercury {
@@ -300,6 +302,206 @@ TEST(CheckpointCodec, GoldenBytesAreBitIdentical)
     EXPECT_EQ(state::encodeCheckpoint(decoded), bytes);
 }
 
+/** The small checkpoint of GoldenBytesAreBitIdentical, minus its
+ *  sender: every field valid, a room included. */
+state::Checkpoint
+smallCheckpoint()
+{
+    state::Checkpoint checkpoint;
+    checkpoint.iterations = 12345;
+    checkpoint.iterationSeconds = 0.5;
+    checkpoint.topologyHash = 0xfeedfacecafebeefull;
+    checkpoint.saveCount = 3;
+    state::MachineState machine;
+    machine.name = "m1";
+    machine.temperatures = {21.6, 45.25};
+    machine.pinned = {0, 1};
+    machine.pinValues = {0.0, 44.0};
+    machine.powered = {{1, 0.75, 7.0, 31.0}};
+    machine.heatKs = {0.75};
+    machine.airFractions = {1.0};
+    machine.fanCfm = 38.6;
+    machine.energyConsumed = 1234.5;
+    checkpoint.machines.push_back(machine);
+    state::RoomState room;
+    room.sources = {{"ac", 18.0}};
+    room.edgeFractions = {0.5, 0.5};
+    room.inletOverrides = {{"m1", 33.5}};
+    checkpoint.room = room;
+    return checkpoint;
+}
+
+/** Set byte @p offset of an encoded checkpoint and re-seal its CRC,
+ *  as a writer that meant it would. */
+void
+patchByte(std::vector<uint8_t> &bytes, size_t offset, uint8_t value)
+{
+    constexpr size_t kHeaderBytes = 24;
+    bytes.at(offset) = value;
+    uint32_t crc =
+        crc32c(bytes.data() + kHeaderBytes, bytes.size() - kHeaderBytes);
+    for (size_t i = 0; i < 4; ++i)
+        bytes[16 + i] = static_cast<uint8_t>(crc >> (8 * i));
+}
+
+// The CRC rejects a scribbled file before any field check runs, so
+// these cases write hostile values through the encoder (which does not
+// validate) and reach each check behind the CRC.
+TEST(CheckpointCodec, HostileFieldsFailTheirNamedCheck)
+{
+    struct Case
+    {
+        const char *error;
+        std::function<void(state::Checkpoint &)> set;
+    };
+    const Case cases[] = {
+        {"non-positive iteration period",
+         [](state::Checkpoint &c) { c.iterationSeconds = 0.0; }},
+        {"non-positive iteration period",
+         [](state::Checkpoint &c) { c.iterationSeconds = -1.0; }},
+        {"utilization outside [0, 1]",
+         [](state::Checkpoint &c) {
+             c.machines[0].powered[0].utilization = 1.5;
+         }},
+        {"utilization outside [0, 1]",
+         [](state::Checkpoint &c) {
+             c.machines[0].powered[0].utilization = -0.25;
+         }},
+        {"powered id out of range",
+         [](state::Checkpoint &c) { c.machines[0].powered[0].id = 2; }},
+        {"non-positive heat k",
+         [](state::Checkpoint &c) { c.machines[0].heatKs[0] = 0.0; }},
+        {"non-positive heat k",
+         [](state::Checkpoint &c) { c.machines[0].heatKs[0] = -3.0; }},
+        {"air fraction outside [0, 1]",
+         [](state::Checkpoint &c) { c.machines[0].airFractions[0] = 1.01; }},
+        {"air fraction outside [0, 1]",
+         [](state::Checkpoint &c) { c.machines[0].airFractions[0] = -0.5; }},
+        {"room fraction outside [0, 1]",
+         [](state::Checkpoint &c) { c.room->edgeFractions[1] = 2.0; }},
+        {"room fraction outside [0, 1]",
+         [](state::Checkpoint &c) { c.room->edgeFractions[0] = -0.1; }},
+        {"negative fan flow",
+         [](state::Checkpoint &c) { c.machines[0].fanCfm = -1.0; }},
+    };
+    state::Checkpoint valid = smallCheckpoint();
+    state::Checkpoint out;
+    std::string error;
+    {
+        std::vector<uint8_t> bytes = state::encodeCheckpoint(valid);
+        ASSERT_TRUE(state::decodeCheckpoint(bytes.data(), bytes.size(),
+                                            &out, &error))
+            << error;
+    }
+    for (const Case &c : cases) {
+        state::Checkpoint hostile = valid;
+        c.set(hostile);
+        std::vector<uint8_t> bytes = state::encodeCheckpoint(hostile);
+        error.clear();
+        EXPECT_FALSE(state::decodeCheckpoint(bytes.data(), bytes.size(),
+                                             &out, &error))
+            << c.error;
+        EXPECT_NE(error.find(c.error), std::string::npos)
+            << "want \"" << c.error << "\", got \"" << error << "\"";
+    }
+
+    // The 0/1 flags: the encoder only writes 0 or 1, so patch the byte.
+    // Offsets follow the layout: a 24-byte header, four u64 fields, the
+    // machine count, then machine 0's name, node count, temperatures
+    // and pinned bytes; the room flag after the machines; a sender's
+    // started flag ahead of its six u64 counters and u32 backlog.
+    state::Checkpoint with_sender = valid;
+    with_sender.senders.push_back({"m1", true, 100, 0xff, 98, 2, 1, 4, 6});
+    const state::MachineState &m0 = valid.machines[0];
+    const size_t pinned_at =
+        24 + 32 + 4 + 4 + m0.name.size() + 4 + 8 * m0.temperatures.size();
+    state::Checkpoint bare = valid;
+    bare.room.reset();
+    const size_t room_flag_at = state::encodeCheckpoint(bare).size() - 5;
+    const std::vector<uint8_t> base = state::encodeCheckpoint(with_sender);
+    const size_t started_at = base.size() - (6 * 8 + 4) - 1;
+    ASSERT_EQ(base.at(pinned_at + 1), 1); // node 1 is pinned
+    ASSERT_EQ(base.at(room_flag_at), 1);
+    ASSERT_EQ(base.at(started_at), 1);
+    const std::pair<size_t, const char *> flags[] = {
+        {pinned_at, "pinned flag not 0/1"},
+        {pinned_at + 1, "pinned flag not 0/1"},
+        {room_flag_at, "room flag not 0/1"},
+        {started_at, "sender started flag not 0/1"},
+    };
+    for (const auto &[offset, want] : flags) {
+        std::vector<uint8_t> bytes = base;
+        patchByte(bytes, offset, 2);
+        error.clear();
+        EXPECT_FALSE(state::decodeCheckpoint(bytes.data(), bytes.size(),
+                                             &out, &error))
+            << want;
+        EXPECT_NE(error.find(want), std::string::npos)
+            << "want \"" << want << "\", got \"" << error << "\"";
+    }
+}
+
+TEST(CheckpointRestore, EveryRefusalLeavesTheSolverUntouched)
+{
+    core::Solver source;
+    buildClusterSolver(source);
+    perturbSolver(source);
+    const state::Checkpoint valid = state::captureSolver(source);
+    ASSERT_FALSE(valid.room->sources.empty());
+
+    // The target runs a different history, so a partial restore would
+    // show in its bytes.
+    core::Solver target;
+    buildClusterSolver(target);
+    target.setUtilization("m3", "cpu", 0.66);
+    target.run(120.0);
+    const std::vector<uint8_t> before =
+        state::encodeCheckpoint(state::captureSolver(target));
+
+    struct Case
+    {
+        const char *error;
+        std::function<void(state::Checkpoint &)> set;
+    };
+    const Case cases[] = {
+        {"iteration period mismatch",
+         [](state::Checkpoint &c) { c.iterationSeconds = 2.0; }},
+        {"machine count mismatch",
+         [](state::Checkpoint &c) { c.machines.pop_back(); }},
+        {"machine name mismatch",
+         [](state::Checkpoint &c) { c.machines[1].name = "m9"; }},
+        {"shape mismatch",
+         [](state::Checkpoint &c) { c.machines[2].heatKs.pop_back(); }},
+        {"powered-node mismatch",
+         [](state::Checkpoint &c) { c.machines[0].powered[0].id += 1; }},
+        {"room presence mismatch",
+         [](state::Checkpoint &c) { c.room.reset(); }},
+        {"room edge count mismatch",
+         [](state::Checkpoint &c) { c.room->edgeFractions.push_back(1.0); }},
+        {"unknown room source",
+         [](state::Checkpoint &c) { c.room->sources[0].first = "m1"; }},
+        {"unknown override machine",
+         [](state::Checkpoint &c) {
+             c.room->inletOverrides.emplace_back("ac", 30.0);
+         }},
+    };
+    for (const Case &c : cases) {
+        state::Checkpoint hostile = valid;
+        c.set(hostile);
+        std::string error;
+        EXPECT_FALSE(state::restoreSolver(target, hostile, &error))
+            << c.error;
+        EXPECT_NE(error.find(c.error), std::string::npos)
+            << "want \"" << c.error << "\", got \"" << error << "\"";
+        EXPECT_EQ(state::encodeCheckpoint(state::captureSolver(target)),
+                  before)
+            << "the solver moved on a refused restore (" << c.error
+            << ")";
+    }
+    std::string error;
+    EXPECT_TRUE(state::restoreSolver(target, valid, &error)) << error;
+}
+
 TEST(CheckpointRestore, TopologyMismatchLeavesSolverUntouched)
 {
     core::Solver cluster;
@@ -416,7 +618,7 @@ TEST(CheckpointManager, SavesRestoresAndCarriesTheSaveCount)
     std::remove(path.c_str());
     {
         core::Solver solver;
-    buildClusterSolver(solver);
+        buildClusterSolver(solver);
         state::CheckpointManager manager(solver, {path, 0.0});
         EXPECT_FALSE(manager.restoreAtBoot()); // nothing to restore
         EXPECT_FALSE(manager.restored());
@@ -431,7 +633,7 @@ TEST(CheckpointManager, SavesRestoresAndCarriesTheSaveCount)
     }
     {
         core::Solver solver;
-    buildClusterSolver(solver);
+        buildClusterSolver(solver);
         state::CheckpointManager manager(solver, {path, 0.0});
         std::vector<state::SenderRecord> imported;
         manager.setSenderImporter(
@@ -449,6 +651,87 @@ TEST(CheckpointManager, SavesRestoresAndCarriesTheSaveCount)
         EXPECT_EQ(manager.saveCount(), 3u);
     }
     std::remove(path.c_str());
+}
+
+TEST(CheckpointManager, ReusedSavesEqualAFreshEncode)
+{
+    std::string path = tempPath("reuse");
+    core::Solver solver;
+    buildClusterSolver(solver);
+    state::CheckpointManager manager(solver, {path, 0.0});
+    EXPECT_EQ(manager.topologyHash(), state::topologyHash(solver));
+
+    // The sender table grows and shrinks between saves too.
+    std::vector<state::SenderRecord> senders;
+    manager.setSenderExporter([&] { return senders; });
+
+    auto save_and_compare = [&](const char *step) {
+        std::string error;
+        ASSERT_TRUE(manager.saveNow(&error)) << step << ": " << error;
+        state::Checkpoint want = state::captureSolver(solver);
+        want.saveCount = manager.saveCount();
+        want.senders = senders;
+        std::vector<uint8_t> file;
+        ASSERT_TRUE(readFileBytes(path, 1u << 24, &file, &error))
+            << step << ": " << error;
+        EXPECT_EQ(file, state::encodeCheckpoint(want)) << step;
+    };
+
+    solver.setUtilization("m1", "cpu", 0.7);
+    solver.run(30.0);
+    save_and_compare("first save");
+
+    fiddle::FiddleResult override =
+        fiddle::applyLine(solver, "fiddle m2 temperature inlet 31.5");
+    ASSERT_TRUE(override.ok) << override.message;
+    senders.push_back({"m1", true, 900, 1000, 950, 40, 7, 3, 12});
+    solver.run(5.0);
+    save_and_compare("inlet override");
+
+    solver.machine("m3").pinTemperature("disk_shell", 41.0);
+    senders.push_back({"m2-with-a-long-machine-name", false, 0, 0, 0, 0,
+                       0, 0, 0});
+    solver.run(5.0);
+    save_and_compare("pin");
+
+    core::ThermalGraph &m1 = solver.machine("m1");
+    m1.setFanCfm(m1.fanCfm() * 1.25);
+    m1.setHeatK(1, m1.heatEdge(1).k * 0.8);
+    solver.run(5.0);
+    save_and_compare("fan and k");
+
+    solver.room().setInletOverride("m2", std::nullopt);
+    solver.machine("m3").unpinTemperature("disk_shell");
+    senders.erase(senders.begin());
+    solver.run(5.0);
+    save_and_compare("override and pin removed");
+    EXPECT_EQ(manager.saveCount(), 5u);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointCapture, OverridesFollowTheSolversMachineOrder)
+{
+    // The room lists its machines in the reverse of the solver's order;
+    // the file keeps the solver's.
+    core::Solver solver;
+    for (const char *name : {"m1", "m2", "m3"})
+        solver.addMachine(core::table1Server(name));
+    solver.setRoom(core::table1Room({"m3", "m2", "m1"}, 21.6));
+    solver.room().setInletOverride("m3", 30.0);
+    solver.room().setInletOverride("m1", 27.0);
+
+    state::Checkpoint checkpoint = state::captureSolver(solver);
+    using Override = std::pair<std::string, double>;
+    EXPECT_EQ(checkpoint.room->inletOverrides,
+              (std::vector<Override>{{"m1", 27.0}, {"m3", 30.0}}));
+
+    // The in-place capture overwrites what an earlier one left.
+    solver.room().setInletOverride("m1", std::nullopt);
+    state::captureSolver(solver, checkpoint.topologyHash, &checkpoint);
+    EXPECT_EQ(checkpoint.room->inletOverrides,
+              (std::vector<Override>{{"m3", 30.0}}));
+    EXPECT_EQ(state::encodeCheckpoint(checkpoint),
+              state::encodeCheckpoint(state::captureSolver(solver)));
 }
 
 TEST(TraceResume, InterruptedRunContinuesBitwise)

@@ -20,6 +20,7 @@
 #include <csignal>
 #include <cstring>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "core/solver.hh"
@@ -314,9 +315,40 @@ namespace eintr {
 
 void onSignal(int) {}
 
+/** The receive call a signal test drives. */
+enum class Receiver
+{
+    RecvFrom,
+    RecvManyBatched,  //!< recvmmsg(MSG_WAITFORONE) under SO_RCVTIMEO
+    RecvManyFallback, //!< recvMany's poll + single-datagram drain
+};
+
+/** One wait on @p socket through @p receiver: the byte count of the
+ *  first datagram, or nullopt on timeout. */
+std::optional<size_t>
+receive(Receiver receiver, net::UdpSocket &socket, double timeout_seconds)
+{
+    uint8_t buffers[4][16];
+    if (receiver == Receiver::RecvFrom)
+        return socket.recvFrom(buffers[0], sizeof(buffers[0]), nullptr,
+                               timeout_seconds);
+    net::setBatchSyscallsEnabled(receiver == Receiver::RecvManyBatched);
+    net::UdpSocket::RecvDatagram metas[4];
+    size_t got = socket.recvMany(buffers, sizeof(buffers[0]), metas, 4,
+                                 timeout_seconds);
+    net::setBatchSyscallsEnabled(true);
+    if (got == 0)
+        return std::nullopt;
+    return metas[0].length;
+}
+
 } // namespace eintr
 
-TEST(UdpSocketSignals, RecvFromSurvivesEintr)
+class UdpSocketSignals : public ::testing::TestWithParam<eintr::Receiver>
+{
+};
+
+TEST_P(UdpSocketSignals, ReceiveSurvivesEintr)
 {
     struct sigaction action{};
     action.sa_handler = eintr::onSignal; // deliberately no SA_RESTART
@@ -330,7 +362,7 @@ TEST(UdpSocketSignals, RecvFromSurvivesEintr)
 
     pthread_t main_thread = pthread_self();
     std::thread poker([&] {
-        // Interrupt the poll twice, then let the datagram through.
+        // Interrupt the wait twice, then let the datagram through.
         for (int i = 0; i < 2; ++i) {
             std::this_thread::sleep_for(std::chrono::milliseconds(40));
             pthread_kill(main_thread, SIGUSR1);
@@ -341,8 +373,7 @@ TEST(UdpSocketSignals, RecvFromSurvivesEintr)
         sender.sendTo(to, payload, sizeof(payload));
     });
 
-    uint8_t buffer[16];
-    auto got = receiver.recvFrom(buffer, sizeof(buffer), nullptr, 2.0);
+    auto got = eintr::receive(GetParam(), receiver, 2.0);
     poker.join();
     ASSERT_TRUE(got.has_value()); // an EINTR must not fake a timeout
     EXPECT_EQ(*got, sizeof("ping"));
@@ -350,7 +381,7 @@ TEST(UdpSocketSignals, RecvFromSurvivesEintr)
     sigaction(SIGUSR1, &previous, nullptr);
 }
 
-TEST(UdpSocketSignals, TimeoutStillHonoredUnderSignals)
+TEST_P(UdpSocketSignals, TimeoutStillHonoredUnderSignals)
 {
     struct sigaction action{};
     action.sa_handler = eintr::onSignal;
@@ -369,8 +400,7 @@ TEST(UdpSocketSignals, TimeoutStillHonoredUnderSignals)
     });
 
     auto start = std::chrono::steady_clock::now();
-    uint8_t buffer[16];
-    auto got = receiver.recvFrom(buffer, sizeof(buffer), nullptr, 0.2);
+    auto got = eintr::receive(GetParam(), receiver, 0.2);
     double elapsed = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - start)
                          .count();
@@ -381,6 +411,23 @@ TEST(UdpSocketSignals, TimeoutStillHonoredUnderSignals)
 
     sigaction(SIGUSR1, &previous, nullptr);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Receivers, UdpSocketSignals,
+    ::testing::Values(eintr::Receiver::RecvFrom,
+                      eintr::Receiver::RecvManyBatched,
+                      eintr::Receiver::RecvManyFallback),
+    [](const ::testing::TestParamInfo<eintr::Receiver> &info) {
+        switch (info.param) {
+          case eintr::Receiver::RecvFrom:
+            return "RecvFrom";
+          case eintr::Receiver::RecvManyBatched:
+            return "RecvManyBatched";
+          case eintr::Receiver::RecvManyFallback:
+            return "RecvManyFallback";
+        }
+        return "Unknown";
+    });
 
 TEST(UdpTransportResolve, RetriesResolutionOnUse)
 {

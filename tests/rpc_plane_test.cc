@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -235,6 +236,69 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)
         .count();
+}
+
+/** recvMany's wait contract on the path the batching switch picks. */
+void
+exerciseWaits()
+{
+    net::UdpSocket receiver;
+    receiver.bind(0);
+    uint8_t buffers[net::UdpSocket::kMaxBatch][64];
+    net::UdpSocket::RecvDatagram metas[net::UdpSocket::kMaxBatch];
+    double elapsed = 0.0;
+    auto wait = [&](double timeout_seconds) {
+        auto start = std::chrono::steady_clock::now();
+        size_t n = receiver.recvMany(&buffers[0][0], sizeof(buffers[0]),
+                                     metas, net::UdpSocket::kMaxBatch,
+                                     timeout_seconds);
+        elapsed = secondsSince(start);
+        return n;
+    };
+
+    // An empty socket: 0 at once, then 0 after the whole 50 ms, then
+    // 0 at once again (the 50 ms left on the socket does not apply).
+    EXPECT_EQ(wait(0.0), 0u);
+    EXPECT_LT(elapsed, 0.04);
+    EXPECT_EQ(wait(0.05), 0u);
+    EXPECT_GE(elapsed, 0.05);
+    EXPECT_LT(elapsed, 1.0);
+    EXPECT_EQ(wait(0.0), 0u);
+    EXPECT_LT(elapsed, 0.04);
+
+    // A datagram already queued comes back without a wait.
+    net::UdpSocket sender;
+    net::Endpoint to{*net::resolveHost("127.0.0.1"),
+                     receiver.localPort()};
+    const char payload[] = "queued";
+    auto send_and_settle = [&] {
+        ASSERT_TRUE(sender.sendTo(to, payload, sizeof(payload)));
+        pollfd pfd{receiver.fd(), POLLIN, 0};
+        ASSERT_EQ(::poll(&pfd, 1, 1000), 1);
+    };
+    send_and_settle();
+    EXPECT_EQ(wait(0.0), 1u);
+    EXPECT_EQ(metas[0].length, sizeof(payload));
+    EXPECT_EQ(metas[0].from.port, sender.localPort());
+
+    // An unbounded wait takes a queued datagram too, and a bounded
+    // wait after it still times out.
+    send_and_settle();
+    EXPECT_EQ(wait(-1.0), 1u);
+    EXPECT_EQ(wait(0.05), 0u);
+    EXPECT_GE(elapsed, 0.05);
+}
+
+TEST(BatchedSockets, WaitContractBatched)
+{
+    BatchSwitchGuard batching(true);
+    exerciseWaits();
+}
+
+TEST(BatchedSockets, WaitContractFallback)
+{
+    BatchSwitchGuard fallback(false);
+    exerciseWaits();
 }
 
 TEST(GroupCommit, QueuedUpdatesAloneDoNotEndTheSolverWait)
