@@ -14,9 +14,9 @@
  *               atomic updates; no allocation, no locks.
  *
  * A Registry names instruments and renders them three ways: a compact
- * one-line-per-metric summary (the MetricsSnapshot RPC / `fiddle
+ * one-line-per-metric summary (the MetricsRequest RPC / `fiddle
  * metrics`), Prometheus text exposition (--metrics-path file writer),
- * and a flat name/value vector (the shm telemetry metrics region).
+ * and a flat name/value vector (tests and benchmarks).
  *
  * Components that already keep their own counters export them through
  * registered callbacks; CallbackGuard unregisters on destruction so a
@@ -168,13 +168,11 @@ class Registry
     std::string renderProm() const;
 
     /** Flat name/value samples, sorted by name; histograms expand to
-     *  _count/_sum/_p50/_p99. The shm metrics region publishes
-     *  these. */
+     *  _count/_sum/_p50/_p99. */
     std::vector<Sample> samples() const;
 
     /** Current values for a fixed name list (NaN when a name is
-     *  missing); lets the shm Writer freeze the name table at
-     *  construction and refresh only values per publish. */
+     *  missing). */
     std::vector<double> valuesFor(const std::vector<std::string> &names) const;
 
   private:

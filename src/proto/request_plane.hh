@@ -1,30 +1,33 @@
 /**
  * @file
- * Sharded, syscall-batched UDP request plane for the solver daemon.
+ * Sharded, syscall-batched UDP request plane for the solver daemon:
+ * the transport around SolverService, which decides what each
+ * datagram does.
  *
  * The serial daemon interleaved one socket, the solver and every timer
  * on a single thread; at high monitord fan-in it spent most of its
  * budget in per-datagram syscalls. The request plane splits that into
  * N serve workers, each with its own SO_REUSEPORT socket on the shared
  * port, draining up to UdpSocket::kMaxBatch datagrams per recvmmsg and
- * batch-sending replies with sendmmsg:
+ * batch-sending replies with sendmmsg. A worker hands each datagram to
+ * SolverService::receive() with its own telemetry snapshot reader and
+ * metrics page cache, then does one of two things:
  *
- *  - Read RPCs (SensorRequest, MultiRead, MetricsRequest, `fiddle
- *    stats`) are answered inline on the worker from
- *    the seqlock telemetry snapshot and the relaxed service counters —
- *    the solver is never touched, so reads scale with workers and
- *    never stall an iteration.
- *  - Mutating RPCs (utilization updates, fiddle command lines,
- *    `fiddle checkpoint`) are enqueued on an MPSC queue the solver
- *    thread drains at iteration boundaries, preserving the serial
- *    daemon's arrival-order semantics. Sequence numbers are noted at
- *    receive time, so loss accounting stays exact however long an
- *    update waits in the queue.
- *  - Only queued messages that owe a reply wake the solver thread.
- *    Utilization updates are group-committed: they wait for its next
- *    wake for any other reason and then apply, WAL-log and replicate
- *    as one batch, just before the next iteration. A group that
- *    reaches kGroupCommitMax updates wakes it too.
+ *  - sends the answer receive() gave (reads the snapshot serves,
+ *    metrics pages, `fiddle stats`), so reads scale with workers and
+ *    never stall an iteration;
+ *  - or enqueues the message receive() handed back on an MPSC queue
+ *    the solver thread drains through SolverService::apply() at
+ *    iteration boundaries, preserving the serial daemon's
+ *    arrival-order semantics.
+ *
+ * Only queued messages that owe a reply wake the solver thread.
+ * Utilization updates are group-committed: they wait for its next wake
+ * for any other reason and then apply, WAL-log and replicate as one
+ * batch, just before the next iteration. A group that reaches
+ * kGroupCommitMax updates wakes it too. Their sequence numbers were
+ * noted in receive(), so loss accounting stays exact however long an
+ * update waits in the queue.
  *
  * SO_REUSEPORT hashes on the 4-tuple: one sender's datagrams always
  * land on one shard, so per-sender FIFO survives sharding (replies to
@@ -131,8 +134,8 @@ class RequestPlane
     bool waitForWork(std::chrono::steady_clock::time_point deadline);
 
     /**
-     * Apply every queued message through SolverService::handleQueued
-     * (in per-shard arrival order) and send the replies back through
+     * Apply every queued message through SolverService::apply (in
+     * per-shard arrival order) and send the replies back through
      * the shard socket each request arrived on. Returns the number of
      * messages applied. Solver-thread only.
      */
@@ -186,19 +189,6 @@ class RequestPlane
     };
 
     void workerLoop(Shard &shard);
-
-    /** Classify + handle one datagram on a worker; appends an inline
-     *  reply to @p replies / @p reply_bufs when one is due. */
-    void handleDatagram(Shard &shard, const uint8_t *data, size_t length,
-                        const net::Endpoint &from,
-                        std::vector<net::UdpSocket::SendDatagram> &replies,
-                        std::vector<Packet> &reply_bufs);
-
-    /** Inline read handlers; return false to fall back to the queue. */
-    bool answerSensor(Shard &shard, const SensorRequest &msg,
-                      Packet *reply);
-    bool answerMultiRead(Shard &shard, const MultiReadRequest &msg,
-                         Packet *reply);
 
     void enqueue(Message message, const net::Endpoint &from,
                  net::UdpSocket *via);

@@ -43,10 +43,6 @@ struct SolverDaemon::LoopTimers
 SolverDaemon::SolverDaemon(core::Solver &solver, Config config)
     : solver_(solver), config_(config), service_(solver)
 {
-    // Metrics first: the telemetry Writer below freezes its shm
-    // metric-name table at construction, so every instrument — the
-    // daemon's, the service's, the request plane's and the replication
-    // plane's — must exist before the segment is built.
     registry_ = config_.registry ? config_.registry
                                  : &metrics::Registry::global();
     iterationHist_ = registry_->histogram(
@@ -84,7 +80,9 @@ SolverDaemon::SolverDaemon(core::Solver &solver, Config config)
         checkpointManager_ = std::make_unique<state::CheckpointManager>(
             solver_, manager_config);
         checkpointManager_->setSenderExporter(
-            [this] { return service_.exportSenders(); });
+            [this](std::vector<state::SenderRecord> &records) {
+                service_.exportSenders(records);
+            });
         checkpointManager_->setSenderImporter(
             [this](const std::vector<state::SenderRecord> &records) {
                 service_.importSenders(records);
@@ -98,14 +96,13 @@ SolverDaemon::SolverDaemon(core::Solver &solver, Config config)
         lastSaveCountSeen_ = checkpointManager_->saveCount();
     }
 
-    // After the restore (the WAL generation and the replication base
-    // start at the resumed iteration), before the telemetry Writer
-    // (replica_* instruments must make the frozen shm name table).
+    // After the restore: the WAL generation and the replication base
+    // start at the resumed iteration.
     setupReplication();
 
     if (!config_.shmName.empty()) {
         writer_ = std::make_unique<telemetry::Writer>(
-            config_.shmName, solver_, config_.iterationSeconds, registry_);
+            config_.shmName, solver_, config_.iterationSeconds);
         if (writer_->valid()) {
             // Publish from the iteration itself (whoever steps the
             // solver — this loop or a test thread).

@@ -92,8 +92,7 @@ class SolverDaemon
 
         /** Prometheus text file written atomically every
          *  metricsSeconds; empty disables the file writer (the
-         *  MetricsSnapshot RPC and the shm metrics region still
-         *  work). */
+         *  MetricsRequest RPC still works). */
         std::string metricsPath;
 
         /** Wall-clock seconds between metrics file writes. */

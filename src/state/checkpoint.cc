@@ -687,7 +687,7 @@ CheckpointManager::saveNow(std::string *error)
     captureSolver(solver_, topologyHash_, &checkpoint_);
     checkpoint_.saveCount = saveCount_ + 1;
     if (senderExporter_)
-        checkpoint_.senders = senderExporter_();
+        senderExporter_(checkpoint_.senders);
     else
         checkpoint_.senders.clear();
     encodeCheckpoint(checkpoint_, &bytes_);

@@ -217,8 +217,11 @@ class CheckpointManager
     /** topologyHash() of the solver, as of construction. */
     uint64_t topologyHash() const { return topologyHash_; }
 
-    /** Protocol-layer glue: how to snapshot / reinstall senders. */
-    void setSenderExporter(std::function<std::vector<SenderRecord>()> fn)
+    /** Protocol-layer glue: how to snapshot / reinstall senders. The
+     *  exporter overwrites the kept Checkpoint's sender vector, so it
+     *  can reuse the records and names of the last save. */
+    void setSenderExporter(
+        std::function<void(std::vector<SenderRecord> &)> fn)
     {
         senderExporter_ = std::move(fn);
     }
@@ -260,7 +263,7 @@ class CheckpointManager
     uint64_t topologyHash_;
     Checkpoint checkpoint_;      //!< the last save's capture, reused
     std::vector<uint8_t> bytes_; //!< the last save's encoding, reused
-    std::function<std::vector<SenderRecord>()> senderExporter_;
+    std::function<void(std::vector<SenderRecord> &)> senderExporter_;
     std::function<void(const std::vector<SenderRecord> &)> senderImporter_;
     bool restored_ = false;
     uint64_t lastRestoreIteration_ = 0;

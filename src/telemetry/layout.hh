@@ -12,13 +12,9 @@
  *   AliasEntry[aliasCount]          (component alias -> node name)
  *   double temperatures[slotCount]  (payload, seqlock-protected)
  *   double utilizations[slotCount]  (payload, seqlock-protected)
- *   MetricName[metricCount]         (metric name directory)
- *   double metricValues[metricCount] (payload, seqlock-protected)
  *
- * The metrics region mirrors the daemon's registry (flattened
- * name/value samples, frozen name set at segment creation) so local
- * health monitors read iteration rate and loss counters with two
- * loads instead of an RPC.
+ * It carries temperatures and utilizations only; metrics leave the
+ * daemon through the MetricsRequest RPC and the Prometheus text file.
  *
  * The directory and alias table are written once at creation and never
  * change; `layoutHash` fingerprints them (plus the counts) so a reader
@@ -48,19 +44,11 @@ namespace telemetry {
 inline constexpr uint32_t kShmMagic = 0x314c544dU;
 
 /** Layout version; bump on any incompatible change to this file.
- *  v2: appended the metrics region (MetricName table + values). */
-inline constexpr uint32_t kShmVersion = 2;
+ *  v3: the v2 metrics region (and Header::metricCount) removed. */
+inline constexpr uint32_t kShmVersion = 3;
 
 /** Fixed name width, matching the 128-byte wire protocol's fields. */
 inline constexpr size_t kNameWidth = 32;
-
-/** Metric names are longer than wire names (histogram expansions like
- *  "..._seconds_count"); they get their own width. */
-inline constexpr size_t kMetricNameWidth = 48;
-
-/** Cap on published metrics; keeps segments bounded if a registry
- *  grows without limit. */
-inline constexpr size_t kMaxShmMetrics = 256;
 
 /** Heartbeats older than this many iteration periods are stale. */
 inline constexpr double kStalePeriods = 4.0;
@@ -80,12 +68,6 @@ struct AliasEntry
 {
     char alias[kNameWidth];
     char node[kNameWidth];
-};
-
-/** One metric-directory entry (flattened registry sample name). */
-struct MetricName
-{
-    char name[kMetricNameWidth];
 };
 
 /**
@@ -123,19 +105,12 @@ struct Header
     uint64_t iteration = 0;
     double emulatedSeconds = 0.0;
     /// @}
-
-    /** Entries in the metric name/value region (v2+); occupies half
-     *  of the v1 header's trailing reserved word, so sizeof(Header)
-     *  is unchanged. */
-    uint32_t metricCount = 0;
-    uint32_t reserved1 = 0;
 };
 
 static_assert(sizeof(Header) % alignof(double) == 0,
               "payload arrays must stay 8-byte aligned");
 static_assert(sizeof(SlotKey) % alignof(double) == 0 &&
-                  sizeof(AliasEntry) % alignof(double) == 0 &&
-                  sizeof(MetricName) % alignof(double) == 0,
+                  sizeof(AliasEntry) % alignof(double) == 0,
               "directory entries must preserve payload alignment");
 
 /** Byte offsets of each region for given table sizes. */
@@ -143,7 +118,6 @@ struct Layout
 {
     uint32_t slotCount = 0;
     uint32_t aliasCount = 0;
-    uint32_t metricCount = 0;
 
     size_t slotsOffset() const { return sizeof(Header); }
 
@@ -166,21 +140,9 @@ struct Layout
     }
 
     size_t
-    metricNamesOffset() const
-    {
-        return utilizationsOffset() + sizeof(double) * slotCount;
-    }
-
-    size_t
-    metricValuesOffset() const
-    {
-        return metricNamesOffset() + sizeof(MetricName) * metricCount;
-    }
-
-    size_t
     totalBytes() const
     {
-        return metricValuesOffset() + sizeof(double) * metricCount;
+        return utilizationsOffset() + sizeof(double) * slotCount;
     }
 };
 

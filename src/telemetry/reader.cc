@@ -68,8 +68,6 @@ Reader::unmapLocked()
     header_ = nullptr;
     temperatures_ = nullptr;
     utilizations_ = nullptr;
-    metricValues_ = nullptr;
-    metricNames_.clear();
     slotIndex_.clear();
     machineSet_.clear();
     aliasMap_.clear();
@@ -149,8 +147,7 @@ Reader::tryConnectLocked()
     const auto *header = reinterpret_cast<const Header *>(base);
     uint32_t magic = std::atomic_ref<const uint32_t>(header->magic)
                          .load(std::memory_order_acquire);
-    Layout layout{header->slotCount, header->aliasCount,
-                  header->metricCount};
+    Layout layout{header->slotCount, header->aliasCount};
     if (magic != kShmMagic || header->version != kShmVersion ||
         layout.totalBytes() > size) {
         ::munmap(base, size);
@@ -169,18 +166,6 @@ Reader::tryConnectLocked()
         bytes + layout_.temperaturesOffset());
     utilizations_ = reinterpret_cast<const double *>(
         bytes + layout_.utilizationsOffset());
-    metricValues_ = reinterpret_cast<const double *>(
-        bytes + layout_.metricValuesOffset());
-    const auto *metric_table = reinterpret_cast<const MetricName *>(
-        bytes + layout_.metricNamesOffset());
-    metricNames_.reserve(layout_.metricCount);
-    for (uint32_t i = 0; i < layout_.metricCount; ++i) {
-        size_t len = 0;
-        while (len < kMetricNameWidth &&
-               metric_table[i].name[len] != '\0')
-            ++len;
-        metricNames_.emplace_back(metric_table[i].name, len);
-    }
 
     uint64_t period_threshold = static_cast<uint64_t>(
         kStalePeriods * static_cast<double>(header->periodNanos));
@@ -302,30 +287,6 @@ Reader::usable()
 {
     std::lock_guard<std::mutex> guard(mutex_);
     return ensureUsableLocked();
-}
-
-std::vector<std::pair<std::string, double>>
-Reader::readMetrics()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (!ensureUsableLocked() || layout_.metricCount == 0)
-        return {};
-    std::vector<double> values(layout_.metricCount);
-    for (int attempt = 0; attempt < kMaxSeqlockRetries; ++attempt) {
-        uint64_t before = seqlockReadBegin(header_->sequence);
-        for (uint32_t i = 0; i < layout_.metricCount; ++i)
-            values[i] = loadPayload(metricValues_[i]);
-        if (!seqlockReadValidate(header_->sequence, before)) {
-            ++stats_.seqlockRetries;
-            continue;
-        }
-        std::vector<std::pair<std::string, double>> out;
-        out.reserve(layout_.metricCount);
-        for (uint32_t i = 0; i < layout_.metricCount; ++i)
-            out.emplace_back(metricNames_[i], values[i]);
-        return out;
-    }
-    return {};
 }
 
 uint64_t

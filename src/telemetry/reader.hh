@@ -30,8 +30,6 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "telemetry/layout.hh"
 
@@ -107,7 +105,7 @@ class Reader
 
     /**
      * Like resolve(), but distinguishes "no segment" from "segment up,
-     * no such machine/component" — the sharded request plane answers
+     * no such machine/component" — SolverService::receive answers
      * sensor RPCs from the snapshot and must return the same
      * UnknownMachine/UnknownComponent statuses the solver would.
      */
@@ -123,13 +121,6 @@ class Reader
 
     /** True when a mapping exists and looks alive right now. */
     bool usable();
-
-    /**
-     * One consistent snapshot of the segment's metrics region
-     * (name/value pairs, segment order). Empty when the segment is
-     * unusable, carries no metrics, or the seqlock never settled.
-     */
-    std::vector<std::pair<std::string, double>> readMetrics();
 
     /** Bumps every time a (re)connect builds a new slot index. */
     uint64_t generation();
@@ -159,10 +150,6 @@ class Reader
     const Header *header_ = nullptr;
     const double *temperatures_ = nullptr;
     const double *utilizations_ = nullptr;
-    const double *metricValues_ = nullptr;
-
-    /** Metric name directory, copied out at connect time. */
-    std::vector<std::string> metricNames_;
     Layout layout_;
     uint64_t layoutHash_ = 0;
     uint64_t staleThresholdNanos_ = 0;

@@ -11,7 +11,6 @@
 #include <cstring>
 
 #include "core/solver.hh"
-#include "metrics/metrics.hh"
 #include "telemetry/seqlock.hh"
 #include "util/logging.hh"
 
@@ -30,31 +29,9 @@ copyName(char (&field)[kNameWidth], const std::string &value)
 } // namespace
 
 Writer::Writer(std::string shm_name, core::Solver &solver,
-               double period_seconds, const metrics::Registry *metrics)
-    : name_(normalizeShmName(shm_name)), solver_(solver),
-      metrics_(metrics)
+               double period_seconds)
+    : name_(normalizeShmName(shm_name)), solver_(solver)
 {
-    // Freeze the metric name table from the registry's current
-    // contents; instruments must be registered before the writer is
-    // built (the daemon does).
-    if (metrics_) {
-        for (const metrics::Sample &sample : metrics_->samples()) {
-            if (sample.name.size() >= kMetricNameWidth) {
-                warn("telemetry: metric name '", sample.name,
-                     "' too long for the snapshot table; skipping");
-                continue;
-            }
-            if (metricNames_.size() >= kMaxShmMetrics) {
-                warn("telemetry: metric table full (", kMaxShmMetrics,
-                     "); further metrics stay RPC-only");
-                break;
-            }
-            metricIndex_.emplace(
-                sample.name, static_cast<uint32_t>(metricNames_.size()));
-            metricNames_.push_back(sample.name);
-        }
-    }
-
     // Build the directory. Names that do not fit the fixed-width wire
     // fields are skipped (those components stay reachable over UDP).
     std::vector<SlotKey> slots;
@@ -96,7 +73,6 @@ Writer::Writer(std::string shm_name, core::Solver &solver,
 
     layout_.slotCount = static_cast<uint32_t>(slots.size());
     layout_.aliasCount = static_cast<uint32_t>(aliases.size());
-    layout_.metricCount = static_cast<uint32_t>(metricNames_.size());
     size_t total = layout_.totalBytes();
 
     int fd = ::shm_open(name_.c_str(), O_CREAT | O_RDWR, 0644);
@@ -135,10 +111,6 @@ Writer::Writer(std::string shm_name, core::Solver &solver,
         reinterpret_cast<double *>(bytes + layout_.temperaturesOffset());
     utilizations_ =
         reinterpret_cast<double *>(bytes + layout_.utilizationsOffset());
-    auto *metric_table =
-        reinterpret_cast<MetricName *>(bytes + layout_.metricNamesOffset());
-    metricValues_ =
-        reinterpret_cast<double *>(bytes + layout_.metricValuesOffset());
 
     // A kill -9 leaves the previous segment behind and shm_open above
     // reuses it, so the old header is still here: read its boot
@@ -171,13 +143,6 @@ Writer::Writer(std::string shm_name, core::Solver &solver,
     header_->aliasCount = layout_.aliasCount;
     header_->machineCount = machine_count;
     header_->bootGeneration = bootGeneration_;
-    header_->metricCount = layout_.metricCount;
-    header_->reserved1 = 0;
-    for (size_t i = 0; i < metricNames_.size(); ++i) {
-        std::memset(metric_table[i].name, 0, kMetricNameWidth);
-        std::memcpy(metric_table[i].name, metricNames_[i].data(),
-                    metricNames_[i].size());
-    }
     double period = period_seconds > 0.0 ? period_seconds : 1.0;
     header_->periodNanos = static_cast<uint64_t>(period * 1e9);
     header_->version = kShmVersion;
@@ -211,7 +176,6 @@ Writer::unmap()
     header_ = nullptr;
     temperatures_ = nullptr;
     utilizations_ = nullptr;
-    metricValues_ = nullptr;
 }
 
 void
@@ -242,16 +206,6 @@ Writer::publish()
         }
         group.lastStamp = stamp;
         group.primed = true;
-    }
-    // Refresh the metrics region: flatten the registry once and place
-    // each known name's value by the index frozen at construction.
-    // (Names registered after construction are simply absent here.)
-    if (metrics_ && layout_.metricCount > 0) {
-        for (const metrics::Sample &sample : metrics_->samples()) {
-            auto it = metricIndex_.find(sample.name);
-            if (it != metricIndex_.end())
-                storePayload(metricValues_[it->second], sample.value);
-        }
     }
     seqlockWriteEnd(header_->sequence, odd);
     std::atomic_ref<uint64_t>(header_->heartbeatNanos)

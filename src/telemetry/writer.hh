@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/layout.hh"
@@ -29,10 +28,6 @@ namespace core {
 class Solver;
 class ThermalGraph;
 } // namespace core
-
-namespace metrics {
-class Registry;
-} // namespace metrics
 
 namespace telemetry {
 
@@ -51,16 +46,9 @@ class Writer
      * Construction never throws on shm failure: a writer that could
      * not create its segment is inert (valid() == false, publish() is
      * a no-op) so emulation continues without the fast path.
-     *
-     * @p metrics (borrowed, may be null) fills the segment's metrics
-     * region: the flattened sample names present at construction form
-     * the fixed name table, and every publish refreshes their values
-     * under the seqlock. Instruments registered later are not
-     * published (the name table is immutable, like the directory).
      */
     Writer(std::string shm_name, core::Solver &solver,
-           double period_seconds,
-           const metrics::Registry *metrics = nullptr);
+           double period_seconds);
 
     /** Unmaps and unlinks the segment (readers fall back to UDP). */
     ~Writer();
@@ -71,7 +59,6 @@ class Writer
     bool valid() const { return header_ != nullptr; }
     const std::string &name() const { return name_; }
     uint32_t slotCount() const { return layout_.slotCount; }
-    uint32_t metricCount() const { return layout_.metricCount; }
 
     /** This segment incarnation's boot counter (1 on a fresh object,
      *  previous + 1 when the name survived a crashed writer). */
@@ -133,15 +120,6 @@ class Writer
     Header *header_ = nullptr;
     double *temperatures_ = nullptr;
     double *utilizations_ = nullptr;
-    double *metricValues_ = nullptr;
-
-    /** Registry mirrored into the metrics region (may be null). */
-    const metrics::Registry *metrics_ = nullptr;
-
-    /** Fixed name table and name -> region index, frozen at
-     *  construction. */
-    std::vector<std::string> metricNames_;
-    std::unordered_map<std::string, uint32_t> metricIndex_;
 
     std::mutex publishMutex_;
     bool hookInstalled_ = false;

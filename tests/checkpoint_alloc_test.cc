@@ -1,14 +1,15 @@
 /**
  * @file
  * A periodic checkpoint save of an unchanged fleet allocates nothing
- * per machine.
+ * per machine or per sender.
  *
  * This binary replaces the global operator new with a counting one, so
  * it is kept apart from the other tests (like des_alloc_test). It
  * builds a 1024-machine room whose machine names are too long for the
  * short-string buffer, captures and encodes it once, and then counts
  * the heap allocations of a second capture and encode into the same
- * Checkpoint and buffer, and of a second CheckpointManager save.
+ * Checkpoint and buffer, and of a second CheckpointManager save that
+ * also exports a SolverService's table of 1024 senders.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 
 #include "core/solver.hh"
 #include "core/spec.hh"
+#include "proto/messages.hh"
+#include "proto/solver_service.hh"
 #include "state/checkpoint.hh"
 
 namespace {
@@ -123,18 +126,36 @@ TEST(CheckpointAlloc, SecondManagerSaveAllocatesNothingPerMachine)
 {
     core::Solver solver;
     buildFleet(solver);
+    // One tracked sender per machine, named like its machine.
+    proto::SolverService service(solver);
+    for (const std::string &name : solver.machineNames()) {
+        proto::UtilizationUpdate update;
+        update.machine = name;
+        update.component = "cpu";
+        update.utilization = 0.5;
+        update.sequence = 1;
+        proto::Packet packet = proto::encode(update);
+        service.handlePacket(packet.data(), packet.size());
+    }
+    ASSERT_EQ(service.lossStats().senders, kMachines);
+
     std::string path = "/tmp/mercury_checkpoint_alloc_test." +
                        std::to_string(::getpid());
     state::CheckpointManager manager(solver, {path, 0.0});
+    manager.setSenderExporter(
+        [&](std::vector<state::SenderRecord> &records) {
+            service.exportSenders(records);
+        });
 
     std::string error;
     ASSERT_TRUE(manager.saveNow(&error)) << error;
     uint64_t second = countAllocations([&] {
         ASSERT_TRUE(manager.saveNow(&error)) << error;
     });
-    std::printf("second save of %zu machines: %llu allocations\n",
+    std::printf("second save of %zu machines and senders: %llu "
+                "allocations\n",
                 kMachines, static_cast<unsigned long long>(second));
-    // The file layer's path strings, not one per machine.
+    // The file layer's path strings, not one per machine or sender.
     EXPECT_LT(second, 8u);
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());

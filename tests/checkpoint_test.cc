@@ -663,7 +663,8 @@ TEST(CheckpointManager, ReusedSavesEqualAFreshEncode)
 
     // The sender table grows and shrinks between saves too.
     std::vector<state::SenderRecord> senders;
-    manager.setSenderExporter([&] { return senders; });
+    manager.setSenderExporter(
+        [&](std::vector<state::SenderRecord> &out) { out = senders; });
 
     auto save_and_compare = [&](const char *step) {
         std::string error;

@@ -15,12 +15,10 @@
 
 #include <atomic>
 #include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 
 #include "core/solver.hh"
-#include "metrics/metrics.hh"
 #include "telemetry/layout.hh"
 #include "telemetry/reader.hh"
 #include "telemetry/writer.hh"
@@ -384,39 +382,6 @@ TEST(Telemetry, FrozenMachineDataStaysFreshWhileWriterHeartbeats)
     auto hot = reader.read("hot", "cpu");
     ASSERT_TRUE(hot.has_value());
     EXPECT_DOUBLE_EQ(hot->utilization, 0.5);
-}
-
-TEST(Telemetry, MetricsRegionRoundTrips)
-{
-    core::Solver solver;
-    solver.addMachine(core::table1Server("m1"));
-    metrics::Registry registry;
-    registry.counter("reads_total")->inc(3);
-    registry.gauge("depth")->set(2.5);
-
-    std::string name = uniqueShmName();
-    Writer writer(name, solver, 1.0, &registry);
-    ASSERT_TRUE(writer.valid());
-    ASSERT_EQ(writer.metricCount(), 2u);
-
-    Reader reader(name);
-    auto published = reader.readMetrics();
-    ASSERT_EQ(published.size(), 2u);
-    std::map<std::string, double> byName(published.begin(),
-                                         published.end());
-    EXPECT_DOUBLE_EQ(byName.at("reads_total"), 3.0);
-    EXPECT_DOUBLE_EQ(byName.at("depth"), 2.5);
-
-    // publish() refreshes values, but the name table is frozen at
-    // construction: instruments registered later never appear.
-    registry.counter("reads_total")->inc(4);
-    registry.counter("late_total")->inc(9);
-    writer.publish();
-    published = reader.readMetrics();
-    byName = std::map<std::string, double>(published.begin(),
-                                           published.end());
-    EXPECT_DOUBLE_EQ(byName.at("reads_total"), 7.0);
-    EXPECT_EQ(byName.count("late_total"), 0u);
 }
 
 TEST(Telemetry, NameNormalizationAndDefaults)
