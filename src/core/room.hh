@@ -47,6 +47,14 @@ class RoomModel
      * solver iteration, before stepping the machine models. Inlets,
      * exhausts and fan flows are read and written straight in the
      * machines' batch lanes, as last bound by bindLanes().
+     *
+     * Only the downstream cone of what changed is recomputed: vertices
+     * fed by an exhaust that moved, by a source, edge or flow that
+     * changed, or by a mix that moved, machines whose override was
+     * set or cleared, and machines whose inlet no longer holds what
+     * the room last left there. A vertex recomputed from unchanged
+     * inputs gives the same bits, so the result equals recomputing
+     * every vertex.
      */
     void step();
 
@@ -108,7 +116,7 @@ class RoomModel
     EdgeView edge(size_t index) const;
     double edgeFraction(size_t index) const
     {
-        return edges_.at(index).fraction;
+        return inFraction_[edges_.at(index).slot];
     }
     void setEdgeFraction(size_t index, double fraction);
 
@@ -123,7 +131,7 @@ class RoomModel
     }
     double temperature(size_t vertex) const
     {
-        return nodes_.at(vertex).temperature;
+        return temperature_.at(vertex);
     }
     /** The forced inlet of a Machine vertex; nullopt for any other. */
     std::optional<double> inletOverride(size_t vertex) const
@@ -134,53 +142,103 @@ class RoomModel
     /// @}
 
   private:
+    /** Cold per-vertex data; the hot state is in the arrays below. */
     struct Node
     {
         std::string name;
         RoomNodeKind kind;
-        double temperature; // degC (Source: supply; else last computed)
         ThermalGraph *machine = nullptr;
-        double massFlow = 0.0; // kg/s leaving this vertex
         std::optional<double> inletOverride;
-
-        /** @name The machine's lane (Machine nodes; see bindLanes) */
-        /// @{
-        double *inlet = nullptr;          //!< inlet temperature
-        const double *exhaust = nullptr;  //!< exhaust temperature
-        const double *fanFlow = nullptr;  //!< mass flow at the inlet
-        uint64_t *stateVersion = nullptr; //!< telemetry stamp
-        /// @}
     };
 
     struct Edge
     {
-        size_t from;
-        size_t to;
-        double fraction;
+        uint32_t from;
+        uint32_t to;
+        uint32_t slot; //!< its in-slot: inFraction_[slot] holds the fraction
     };
+
+    /** machineOf_ of a Mix or Sink vertex, and of a Source. */
+    static constexpr uint32_t kMixVertex = UINT32_MAX;
+    static constexpr uint32_t kSourceVertex = UINT32_MAX - 1;
 
     size_t requireNode(const std::string &node_name) const;
 
-    /** Rebuild the per-vertex incoming-edge CSR rows. */
-    void buildIncoming();
+    /** Recompute every mass flow, as step() always did, and mark the
+     *  receivers of each vertex whose flow changed. */
+    void recomputeFlows();
+
+    /** Recompute vertex @p v from its in-slots: deliver a machine's
+     *  inlet, or mix a Mix/Sink and mark its receivers when it moved. */
+    void visit(uint32_t v);
+
+    /** Queue vertex @p v for recomputation in this or the next step. */
+    void
+    markDirty(uint32_t v)
+    {
+        uint32_t p = position_[v];
+        dirty_[p / 64] |= uint64_t(1) << (p % 64);
+    }
+
+    /** Queue every vertex that receives air from @p v. */
+    void
+    markReceivers(uint32_t v)
+    {
+        for (uint32_t k = outOffsets_[v]; k < outOffsets_[v + 1]; ++k) {
+            uint32_t p = outPosition_[k];
+            dirty_[p / 64] |= uint64_t(1) << (p % 64);
+        }
+    }
 
     std::vector<Node> nodes_;
     std::vector<Edge> edges_;
     std::unordered_map<std::string, size_t> byName_;
-    std::vector<size_t> order_; // topological
-    std::vector<size_t> machineNodes_; //!< Machine vertices, spec order
-    std::vector<size_t> sourceNodes_;  //!< Source vertices, spec order
-    std::vector<size_t> mixOrder_;     //!< Mix and Sink, topological
+    std::vector<uint32_t> order_;        //!< topological
+    std::vector<uint32_t> position_;     //!< vertex -> index in order_
+    std::vector<uint32_t> sourceNodes_;  //!< Source vertices, spec order
+    std::vector<uint32_t> mixOrder_;     //!< Mix and Sink, topological
+
+    /** @name Per vertex, spec order */
+    /// @{
+    std::vector<double> temperature_; //!< Source: supply; else last computed
+    std::vector<double> massFlow_;    //!< kg/s leaving the vertex
+    std::vector<uint32_t> machineOf_; //!< machine index, or a k*Vertex
+    /// @}
+
+    /** @name In-slots: incoming edges per vertex in CSR form
+     * Slots [inOffsets_[v], inOffsets_[v + 1]) feed vertex v, in edge
+     * spec order. */
+    /// @{
+    std::vector<uint32_t> inOffsets_;
+    std::vector<uint32_t> inFrom_;     //!< upstream vertex
+    std::vector<double> inFraction_;   //!< the edge's fraction
+    /// @}
+
+    /** Receivers per vertex in CSR form, as positions in order_. */
+    std::vector<uint32_t> outOffsets_;
+    std::vector<uint32_t> outPosition_;
+
+    /** @name Per machine, spec order: its vertex and its lane
+     * (see bindLanes) */
+    /// @{
+    std::vector<uint32_t> machineVertex_;
+    std::vector<double *> inlet_;            //!< inlet temperature
+    std::vector<const double *> exhaust_;    //!< exhaust temperature
+    std::vector<const double *> fanFlow_;    //!< mass flow at the inlet
+    std::vector<uint64_t *> stateVersion_;   //!< telemetry stamp
+    /** The inlet as the room left it when it last visited the vertex:
+     *  a different value means another writer changed it. */
+    std::vector<double> lastInlet_;
+    /// @}
 
     /**
-     * Incoming edges per vertex in CSR form (offsets into inEdge_,
-     * which indexes edges_). step() runs every solver iteration over
-     * every room vertex; without this it rescanned the whole edge
-     * list per vertex — O(V E) per iteration, the dominant cost for
-     * large clusters.
+     * Vertices to recompute, one bit per position in order_. step()
+     * visits them in topological order and clears them; a vertex
+     * whose output moved sets the bits of its receivers, which come
+     * later in the order.
      */
-    std::vector<uint32_t> inOffsets_;
-    std::vector<uint32_t> inEdge_;
+    std::vector<uint64_t> dirty_;
+    bool flowsStale_ = true; //!< an edge fraction changed since the last step
 };
 
 } // namespace core

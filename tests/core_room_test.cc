@@ -1,14 +1,27 @@
 /**
  * @file
  * Tests for the inter-machine (room) model: AC supply driving machine
- * inlets, exhaust mixing, overrides and recirculation.
+ * inlets, exhaust mixing, overrides and recirculation. An oracle test
+ * checks the incremental room step against a full room step written
+ * here from the perfect-mixing rule, bit for bit, under a seeded
+ * schedule of every input the room reads.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/power.hh"
 #include "core/room.hh"
 #include "core/solver.hh"
 #include "core/thermal_graph.hh"
+#include "util/units.hh"
 
 namespace mercury {
 namespace core {
@@ -154,6 +167,295 @@ TEST(RoomModel, FanSpeedChangesReweightTheMixing)
     double expected = (e1_after + 3.0 * e2_after) / 4.0;
     EXPECT_NEAR(solver->room().temperature("cluster_exhaust"), expected,
                 0.05);
+}
+
+/**
+ * The room step before it became incremental, kept as a reference:
+ * every iteration it recomputes every flow and every vertex in
+ * topological order. Flows: a machine passes its fan flow, each
+ * source an equal share of the total demand (summed in spec order),
+ * a mix what it receives. A vertex mixes its inflows perfectly, in
+ * edge spec order; a machine vertex delivers the mix (or its
+ * override) to its inlet when it has inflow or an override, and then
+ * carries its exhaust; a mix or sink with no inflow keeps its last
+ * temperature.
+ */
+class ReferenceRoom
+{
+  public:
+    ReferenceRoom(const RoomSpec &spec, Solver &solver)
+        : spec_(spec), solver_(solver)
+    {
+        size_t count = spec_.nodes.size();
+        temperature.resize(count);
+        override_.resize(count);
+        for (size_t v = 0; v < count; ++v) {
+            const RoomNodeSpec &node = spec_.nodes[v];
+            temperature[v] = node.kind == RoomNodeKind::Machine
+                                 ? machine(v).exhaustTemperature()
+                                 : node.temperature;
+        }
+        for (const AirEdgeSpec &edge : spec_.edges)
+            edges_.push_back({id(edge.from), id(edge.to), edge.fraction});
+        // Smallest-id ready vertex first.
+        std::vector<bool> placed(count, false);
+        while (order_.size() < count) {
+            for (size_t v = 0; v < count; ++v) {
+                bool ready = !placed[v];
+                for (const Edge &edge : edges_) {
+                    if (edge.to == v && !placed[edge.from])
+                        ready = false;
+                }
+                if (ready) {
+                    placed[v] = true;
+                    order_.push_back(v);
+                    break;
+                }
+            }
+        }
+    }
+
+    std::vector<double> temperature; //!< per vertex, spec order
+
+    void setSource(size_t v, double celsius) { temperature[v] = celsius; }
+    void setFraction(size_t edge, double f) { edges_[edge].fraction = f; }
+    void setOverride(size_t v, std::optional<double> c) { override_[v] = c; }
+
+    /** One step over the machines' current lanes: writes each
+     *  delivered inlet through @p inlet and counts in @p bumps the
+     *  deliveries that changed a value, per vertex. */
+    void
+    step(std::vector<double> &inlet, std::vector<int> &bumps)
+    {
+        size_t count = spec_.nodes.size();
+        std::vector<double> flow(count, 0.0);
+        double demand = 0.0;
+        size_t sources = 0;
+        for (size_t v = 0; v < count; ++v) {
+            if (kind(v) == RoomNodeKind::Machine) {
+                const ThermalGraph &graph = machine(v);
+                flow[v] = graph.massFlow(graph.nodeId("inlet"));
+                demand += flow[v];
+            }
+            sources += kind(v) == RoomNodeKind::Source;
+        }
+        for (size_t v : order_) {
+            if (kind(v) == RoomNodeKind::Source)
+                flow[v] = demand / static_cast<double>(sources);
+            if (kind(v) != RoomNodeKind::Mix && kind(v) != RoomNodeKind::Sink)
+                continue;
+            for (const Edge &edge : edges_) {
+                if (edge.to == v)
+                    flow[v] += edge.fraction * flow[edge.from];
+            }
+        }
+        for (size_t v : order_) {
+            if (kind(v) == RoomNodeKind::Source)
+                continue;
+            double in = 0.0;
+            double mix = 0.0;
+            for (const Edge &edge : edges_) {
+                if (edge.to != v)
+                    continue;
+                double contribution = edge.fraction * flow[edge.from];
+                in += contribution;
+                mix += contribution * temperature[edge.from];
+            }
+            if (kind(v) == RoomNodeKind::Machine) {
+                if (override_[v] || in > 1e-12) {
+                    double delivered = override_[v] ? *override_[v] : mix / in;
+                    if (inlet[v] != delivered) {
+                        inlet[v] = delivered;
+                        ++bumps[v];
+                    }
+                }
+                temperature[v] = machine(v).exhaustTemperature();
+            } else if (in > 1e-12) {
+                temperature[v] = mix / in;
+            }
+        }
+    }
+
+  private:
+    struct Edge
+    {
+        size_t from;
+        size_t to;
+        double fraction;
+    };
+
+    size_t
+    id(const std::string &name) const
+    {
+        for (size_t v = 0; v < spec_.nodes.size(); ++v) {
+            if (spec_.nodes[v].name == name)
+                return v;
+        }
+        ADD_FAILURE() << "no room node " << name;
+        return 0;
+    }
+
+    RoomNodeKind kind(size_t v) const { return spec_.nodes[v].kind; }
+
+    const ThermalGraph &
+    machine(size_t v) const
+    {
+        return solver_.machine(spec_.nodes[v].machine);
+    }
+
+    RoomSpec spec_;
+    Solver &solver_;
+    std::vector<Edge> edges_;
+    std::vector<size_t> order_;
+    std::vector<std::optional<double>> override_;
+};
+
+/**
+ * Six machines under two sources: ac1 feeds m1 and a mix that feeds
+ * m3 and m4, ac2 feeds that mix and m2; m1's exhaust partly
+ * recirculates through a mix into m5's inlet; m2's exhaust partly
+ * feeds a branch into m6, which carries no flow while m2's fan is
+ * stopped. Everything else ends in one sink.
+ */
+RoomSpec
+oracleRoom()
+{
+    RoomSpec room;
+    room.name = "oracle";
+    auto node = [&](const char *name, RoomNodeKind kind, double celsius) {
+        RoomNodeSpec spec;
+        spec.name = name;
+        spec.kind = kind;
+        spec.temperature = celsius;
+        if (kind == RoomNodeKind::Machine)
+            spec.machine = name;
+        room.nodes.push_back(spec);
+    };
+    node("ac1", RoomNodeKind::Source, 18.0);
+    for (const char *name : {"m1", "m2", "m3"})
+        node(name, RoomNodeKind::Machine, 0.0);
+    node("cold_mix", RoomNodeKind::Mix, 18.0);
+    node("ac2", RoomNodeKind::Source, 21.0);
+    node("recirc", RoomNodeKind::Mix, 25.0);
+    for (const char *name : {"m4", "m5", "m6"})
+        node(name, RoomNodeKind::Machine, 0.0);
+    node("branch", RoomNodeKind::Mix, 30.0);
+    node("out", RoomNodeKind::Sink, 18.0);
+    room.edges = {{"ac1", "m1", 0.5},      {"ac1", "cold_mix", 0.5},
+                  {"ac2", "cold_mix", 0.6}, {"ac2", "m2", 0.4},
+                  {"cold_mix", "m3", 0.5},  {"cold_mix", "m4", 0.5},
+                  {"m1", "recirc", 0.3},    {"m1", "out", 0.7},
+                  {"recirc", "m5", 1.0},    {"m2", "branch", 0.2},
+                  {"m2", "out", 0.8},       {"branch", "m6", 1.0},
+                  {"m3", "out", 1.0},       {"m4", "out", 1.0},
+                  {"m5", "out", 1.0},       {"m6", "out", 1.0}};
+    return room;
+}
+
+TEST(RoomOracle, IncrementalStepMatchesFullStepBitwise)
+{
+    Solver solver;
+    std::vector<std::string> names = {"m1", "m2", "m3", "m4", "m5", "m6"};
+    for (const std::string &name : names)
+        solver.addMachine(table1Server(name));
+    RoomSpec spec = oracleRoom();
+    solver.setRoom(spec);
+    ReferenceRoom reference(spec, solver);
+    RoomModel &room = solver.room();
+    ASSERT_EQ(room.nodeCount(), spec.nodes.size());
+
+    std::vector<size_t> machine_vertex;
+    for (size_t v = 0; v < spec.nodes.size(); ++v) {
+        if (spec.nodes[v].kind == RoomNodeKind::Machine)
+            machine_vertex.push_back(v);
+    }
+    auto graph = [&](size_t k) -> ThermalGraph & {
+        return solver.machine(names[k]);
+    };
+
+    std::mt19937 rng(20061021);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    auto pick = [&](size_t n) {
+        return static_cast<size_t>(unit(rng) * static_cast<double>(n));
+    };
+    const double fans[] = {0.0, 12.0, 38.6, 38.6, 55.0};
+    int deliveries = 0;
+    for (int it = 0; it < 1500; ++it) {
+        // Quiet stretches between bursts, so most steps skip vertices.
+        bool burst = (it / 50) % 2 == 0 || it < 5;
+        if (burst && unit(rng) < 0.5) {
+            graph(pick(6)).setUtilization("cpu", unit(rng));
+        }
+        if (burst && unit(rng) < 0.15)
+            graph(pick(6)).setFanCfm(fans[pick(5)]);
+        if (burst && unit(rng) < 0.1) {
+            size_t edge = pick(spec.edges.size());
+            double fraction = 0.05 + 0.95 * unit(rng);
+            room.setEdgeFraction(edge, fraction);
+            reference.setFraction(edge, fraction);
+        }
+        if (burst && unit(rng) < 0.1) {
+            bool first = unit(rng) < 0.5;
+            double celsius = 15.0 + 10.0 * unit(rng);
+            room.setSourceTemperature(first ? "ac1" : "ac2", celsius);
+            reference.setSource(first ? 0 : 5, celsius);
+        }
+        if (burst && unit(rng) < 0.1) {
+            size_t k = pick(6);
+            if (unit(rng) < 0.5) {
+                double celsius = 20.0 + 20.0 * unit(rng);
+                solver.setInletTemperature(names[k], celsius);
+                reference.setOverride(machine_vertex[k], celsius);
+            } else {
+                solver.clearInletOverride(names[k]);
+                reference.setOverride(machine_vertex[k], std::nullopt);
+            }
+        }
+        // Another writer sets an inlet the room delivers to (or, with
+        // m6's branch dry, one it leaves alone).
+        if (unit(rng) < 0.08)
+            graph(pick(6)).setInletTemperature(10.0 + 30.0 * unit(rng));
+        // A regroup: m3 takes a new power model, leaves its batch, and
+        // the room rebinds its lanes at the next iterate().
+        if (it == 700) {
+            graph(2).setPowerModel(
+                "disk_shell", std::make_unique<LinearPowerModel>(1.0, 4.0));
+        }
+
+        std::vector<double> inlet(spec.nodes.size(), 0.0);
+        std::vector<uint64_t> version(spec.nodes.size(), 0);
+        for (size_t k = 0; k < 6; ++k) {
+            inlet[machine_vertex[k]] = graph(k).inletTemperature();
+            version[machine_vertex[k]] = graph(k).stateVersion();
+        }
+        std::vector<int> bumps(spec.nodes.size(), 0);
+        reference.step(inlet, bumps);
+        solver.iterate();
+
+        for (size_t k = 0; k < 6; ++k) {
+            size_t v = machine_vertex[k];
+            deliveries += bumps[v];
+            // The machines step after the room; nothing pins an inlet,
+            // so it still holds what the room delivered, and the step
+            // bumped the stamp once more.
+            ASSERT_EQ(std::bit_cast<uint64_t>(graph(k).inletTemperature()),
+                      std::bit_cast<uint64_t>(inlet[v]))
+                << "iteration " << it << ": " << names[k] << " inlet "
+                << graph(k).inletTemperature() << " reference " << inlet[v];
+            ASSERT_EQ(graph(k).stateVersion(),
+                      version[v] + static_cast<uint64_t>(bumps[v]) + 1)
+                << "iteration " << it << ": " << names[k] << " stateVersion";
+        }
+        for (size_t v = 0; v < spec.nodes.size(); ++v) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(room.temperature(v)),
+                      std::bit_cast<uint64_t>(reference.temperature[v]))
+                << "iteration " << it << ": vertex " << spec.nodes[v].name
+                << " room " << room.temperature(v) << " reference "
+                << reference.temperature[v];
+        }
+    }
+    // The schedule really exercised deliveries, quiet steps included.
+    EXPECT_GT(deliveries, 1000);
 }
 
 TEST(RoomModel, NodeNamesListed)
