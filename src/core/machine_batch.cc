@@ -191,6 +191,7 @@ MachineBatch::MachineBatch(std::shared_ptr<const Topology> topology,
     planDt.assign(lanes_, 0.0);
     planSubsteps.assign(lanes_, 1);
     planDirty.assign(lanes_, 1);
+    planPlain.assign(lanes_, 0);
     inputVersion.assign(lanes_, 0);
     stateVersion.assign(lanes_, 0);
     scratchEnergy_.assign(lanes_, 0.0);
@@ -221,6 +222,7 @@ MachineBatch::copyLane(size_t to, const MachineBatch &src, size_t from)
     copyRows(planDt, dl, to, src.planDt, sl, from);
     copyRows(planSubsteps, dl, to, src.planSubsteps, sl, from);
     copyRows(planDirty, dl, to, src.planDirty, sl, from);
+    copyRows(planPlain, dl, to, src.planPlain, sl, from);
     copyRows(inputVersion, dl, to, src.inputVersion, sl, from);
     copyRows(stateVersion, dl, to, src.stateVersion, sl, from);
 }
@@ -229,6 +231,22 @@ int
 MachineBatch::replan(size_t lane, double dt_seconds)
 {
     return graphs[lane]->substepsFor(dt_seconds);
+}
+
+bool
+MachineBatch::plainLane(size_t lane) const
+{
+    const Topology &t = *topology_;
+    for (size_t id = 0; id < t.nodeCount(); ++id) {
+        if (pinned[id * lanes_ + lane] != 0.0)
+            return false;
+    }
+    // The kernel's own comparison, so a NaN flow is not plain.
+    for (uint32_t id : t.airOrder) {
+        if (!(flowIn[id * lanes_ + lane] > 1e-12))
+            return false;
+    }
+    return true;
 }
 
 // x86-64 builds carry a second copy of the kernel compiled for AVX2
@@ -292,7 +310,10 @@ exchangeHeat(size_t count, double dt, const double *__restrict k,
     }
 }
 
-/** T += gain / (m c), or T = held for a pinned lane. */
+/** T += gain / (m c), or T = held for a pinned lane. Plain lanes
+ *  (none pinned) compute only the free update, which is what the
+ *  select would pick. */
+template <bool Plain>
 [[gnu::always_inline]] inline void
 updateSolid(size_t count, double *__restrict t,
             double *__restrict delta_max, const double *__restrict gain,
@@ -301,11 +322,15 @@ updateSolid(size_t count, double *__restrict t,
 {
     for (size_t j = 0; j < count; ++j) {
         double tj = t[j];
-        double hj = held[j];
         double free = gain[j] * inv[j];
-        bool held_here = pin[j] != 0.0;
-        double delta = held_here ? hj - tj : free;
-        double next = held_here ? hj : tj + free;
+        double delta = free;
+        double next = tj + free;
+        if constexpr (!Plain) {
+            double hj = held[j];
+            bool held_here = pin[j] != 0.0;
+            delta = held_here ? hj - tj : free;
+            next = held_here ? hj : tj + free;
+        }
         delta_max[j] = maxOf(delta_max[j], std::fabs(delta));
         t[j] = next;
     }
@@ -368,9 +393,12 @@ addHeatTerm(size_t count, const double *__restrict k,
  * An air vertex's new temperature: held for a pinned lane, the
  * implicit balance (numer + w) / denom for a flowing one, T + gain /
  * capacity for stagnant air. FoldLast adds the last heat term
- * (k_last, other_last) to the balance first.
+ * (k_last, other_last) to the balance first. Plain lanes (none
+ * pinned, every vertex flowing) compute only the balance, which is
+ * what the selects would pick; gain, inv, pin, held and flow_in are
+ * then not read.
  */
-template <bool FoldLast>
+template <bool FoldLast, bool Plain>
 [[gnu::always_inline]] inline void
 updateAir(size_t count, double *__restrict t,
           double *__restrict delta_max, const double *__restrict numer,
@@ -389,17 +417,21 @@ updateAir(size_t count, double *__restrict t,
             d += kj;
         }
         double tj = t[j];
-        double hj = held[j];
         double updated = (n + w[j]) / d;
-        double stagnant = gain[j] * inv[j];
-        bool held_here = pin[j] != 0.0;
-        bool flowing = flow_in[j] > 1e-12;
-        double delta = held_here ? hj - tj
-                       : flowing ? updated - tj
-                                 : stagnant;
-        double next = held_here ? hj
-                      : flowing ? updated
-                                : tj + stagnant;
+        double delta = updated - tj;
+        double next = updated;
+        if constexpr (!Plain) {
+            double hj = held[j];
+            double stagnant = gain[j] * inv[j];
+            bool held_here = pin[j] != 0.0;
+            bool flowing = flow_in[j] > 1e-12;
+            delta = held_here ? hj - tj
+                    : flowing ? updated - tj
+                              : stagnant;
+            next = held_here ? hj
+                   : flowing ? updated
+                             : tj + stagnant;
+        }
         delta_max[j] = maxOf(delta_max[j], std::fabs(delta));
         t[j] = next;
     }
@@ -463,7 +495,7 @@ MachineBatch::setKernelForTest(Kernel kernel)
 
 void
 MachineBatch::step(size_t begin, size_t end, double dt_seconds,
-                   int substeps)
+                   int substeps, bool plain)
 {
     if (begin >= end || end > lanes_)
         MERCURY_PANIC("MachineBatch::step: bad lane range [", begin, ", ",
@@ -481,32 +513,43 @@ MachineBatch::step(size_t begin, size_t end, double dt_seconds,
     }
 #ifdef MERCURY_AVX2_KERNEL
     else if (kernel() == Kernel::Avx2) {
-        stepWideAvx2(begin, count, dt, substeps);
+        stepWideAvx2(begin, count, dt, substeps, plain);
     }
 #endif
     else {
-        stepWide(begin, count, dt, substeps);
+        stepWide(begin, count, dt, substeps, plain);
     }
     for (size_t lane = begin; lane < end; ++lane)
         ++stateVersion[lane];
 }
 
-// Each wide kernel inlines its own copy of substep<0, 0> (flatten), so
-// the copy in stepWideAvx2 is compiled for AVX2.
+// Each wide kernel inlines its own copies of substep<0, 0, Plain>
+// (flatten), so the copies in stepWideAvx2 are compiled for AVX2.
 [[gnu::flatten]] void
-MachineBatch::stepWide(size_t begin, size_t count, double dt, int substeps)
+MachineBatch::stepWide(size_t begin, size_t count, double dt, int substeps,
+                       bool plain)
 {
-    for (int i = 0; i < substeps; ++i)
-        substep<0, 0>(begin, count, dt);
+    if (plain) {
+        for (int i = 0; i < substeps; ++i)
+            substep<0, 0, true>(begin, count, dt);
+    } else {
+        for (int i = 0; i < substeps; ++i)
+            substep<0, 0, false>(begin, count, dt);
+    }
 }
 
 #ifdef MERCURY_AVX2_KERNEL
 [[gnu::flatten, gnu::target("avx2")]] void
 MachineBatch::stepWideAvx2(size_t begin, size_t count, double dt,
-                           int substeps)
+                           int substeps, bool plain)
 {
-    for (int i = 0; i < substeps; ++i)
-        substep<0, 0>(begin, count, dt);
+    if (plain) {
+        for (int i = 0; i < substeps; ++i)
+            substep<0, 0, true>(begin, count, dt);
+    } else {
+        for (int i = 0; i < substeps; ++i)
+            substep<0, 0, false>(begin, count, dt);
+    }
 }
 #endif
 
@@ -514,10 +557,10 @@ template <size_t Lanes>
 void
 MachineBatch::substepOneLane(size_t lane, double dt)
 {
-    substep<1, Lanes>(lane, 1, dt);
+    substep<1, Lanes, false>(lane, 1, dt);
 }
 
-template <size_t Width, size_t Lanes>
+template <size_t Width, size_t Lanes, bool Plain>
 void
 MachineBatch::substep(size_t begin, size_t count_arg, double dt)
 {
@@ -581,11 +624,11 @@ MachineBatch::substep(size_t begin, size_t count_arg, double dt)
     // feeds the quiescence signal: delta_max is computed from exactly
     // the increments applied, so it is free of extra rounding. Both
     // cases are computed and the lane's own is selected, so the loop
-    // has no branches to keep it scalar.
+    // has no branches to keep it scalar (a plain run has one case).
     for (uint32_t id : topo.solids) {
-        updateSolid(count, row(temperature, id), delta_max,
-                    row(heatGain, id), row(invCapacity, id),
-                    row(pinned, id), row(pinValue, id));
+        updateSolid<Plain>(count, row(temperature, id), delta_max,
+                           row(heatGain, id), row(invCapacity, id),
+                           row(pinned, id), row(pinValue, id));
     }
 
     // 4. Air traversal: march downstream from the inlet. Each vertex
@@ -642,19 +685,23 @@ MachineBatch::substep(size_t begin, size_t count_arg, double dt)
         const double *pin = row(pinned, id);
         const double *held = row(pinValue, id);
         if (heat_begin < heat_end) {
-            updateAir<true>(count, t, delta_max, numer, denom,
-                            row(heatCsrK, heat_end - 1),
-                            row(temperature,
-                                topo.heatCsrOther[heat_end - 1]),
-                            w, gain, inv, pin, held, flow_in);
+            updateAir<true, Plain>(count, t, delta_max, numer, denom,
+                                   row(heatCsrK, heat_end - 1),
+                                   row(temperature,
+                                       topo.heatCsrOther[heat_end - 1]),
+                                   w, gain, inv, pin, held, flow_in);
         } else {
-            updateAir<false>(count, t, delta_max, numer, denom, nullptr,
-                             nullptr, w, gain, inv, pin, held, flow_in);
+            updateAir<false, Plain>(count, t, delta_max, numer, denom,
+                                    nullptr, nullptr, w, gain, inv, pin,
+                                    held, flow_in);
         }
     }
 
-    snapInlet(count, row(temperature, topo.inlet), delta_max,
-              row(pinned, topo.inlet), row(pinValue, topo.inlet));
+    // A plain run has no pinned inlet to snap back.
+    if constexpr (!Plain) {
+        snapInlet(count, row(temperature, topo.inlet), delta_max,
+                  row(pinned, topo.inlet), row(pinValue, topo.inlet));
+    }
     if constexpr (Width != 0) {
         double *last = row(lastDelta, 0);
         for (size_t w = 0; w < Width; ++w)

@@ -114,8 +114,15 @@ class MachineBatch
      * the same substep count. Each lane's max per-node |dT| over the
      * step lands in lastDelta and its stateVersion is bumped. Calls on
      * disjoint lane ranges may run concurrently.
+     *
+     * @p plain may be true only when every lane in the range is plain
+     * (planPlain): a step of two or more lanes then computes only the
+     * unpinned, flowing case of each select, which is what the
+     * selects pick for such lanes, so the bits are the same. A
+     * one-lane step always runs the general substep.
      */
-    void step(size_t begin, size_t end, double dt_seconds, int substeps);
+    void step(size_t begin, size_t end, double dt_seconds, int substeps,
+              bool plain);
 
     /**
      * The instruction sets a step of two or more lanes is built for,
@@ -138,7 +145,8 @@ class MachineBatch
     static void setKernelForTest(Kernel kernel);
 
     /** Substep count lane @p lane plans for @p dt_seconds: the cached
-     *  plan, or its graph's ThermalGraph::substepsFor on a miss. */
+     *  plan, or its graph's ThermalGraph::substepsFor on a miss, which
+     *  also refreshes planPlain. */
     int
     substepsFor(size_t lane, double dt_seconds)
     {
@@ -146,6 +154,15 @@ class MachineBatch
             return planSubsteps[lane];
         return replan(lane, dt_seconds);
     }
+
+    /**
+     * True when lane @p lane is plain: no node is pinned (the inlet
+     * included) and every air vertex the march updates has inflow
+     * above the kernel's 1e-12 kg/s, which a NaN flow does not. Only
+     * pins, fan flows and air fractions decide it, and each of those
+     * mutations dirties the plan, so the plan caches it (planPlain).
+     */
+    bool plainLane(size_t lane) const;
 
     /** Copy every per-lane value of @p src's lane @p from into lane
      *  @p to. The two topologies must have the same row shapes. */
@@ -186,6 +203,7 @@ class MachineBatch
     std::vector<double> planDt;      //!< dt the cached plan is for
     std::vector<int> planSubsteps;   //!< cached substep count
     std::vector<uint8_t> planDirty;  //!< plan needs recomputing
+    std::vector<uint8_t> planPlain;  //!< plainLane() at the last plan
     std::vector<uint64_t> inputVersion;
     std::vector<uint64_t> stateVersion;
     /// @}
@@ -194,13 +212,16 @@ class MachineBatch
     int replan(size_t lane, double dt_seconds);
 
     /** step()'s substep loop for a call of two or more lanes, once per
-     *  kernel: the same loop compiled for each instruction set.
-     *  stepWideAvx2 exists in x86-64 builds only. A one-lane call is
-     *  scalar code and runs the same on every CPU. */
-    void stepWide(size_t begin, size_t count, double dt, int substeps);
-    void stepWideAvx2(size_t begin, size_t count, double dt, int substeps);
+     *  kernel: the same loop compiled for each instruction set, with a
+     *  plain and a general substep each. stepWideAvx2 exists in x86-64
+     *  builds only. A one-lane call is scalar code and runs the same on
+     *  every CPU. */
+    void stepWide(size_t begin, size_t count, double dt, int substeps,
+                  bool plain);
+    void stepWideAvx2(size_t begin, size_t count, double dt, int substeps,
+                      bool plain);
 
-    /** substep<1, Lanes>, kept out of line for a one-lane step():
+    /** substep<1, Lanes, false>, kept out of line for a one-lane step():
      *  inlined into step(), it made that path about 4 % slower. */
     template <size_t Lanes>
     [[gnu::noinline]] void substepOneLane(size_t lane, double dt);
@@ -210,10 +231,12 @@ class MachineBatch
      * Width 0 takes count from the caller; a nonzero Width fixes it at
      * compile time (a one-lane call) and keeps the lane scratch on the
      * stack. Lanes likewise fixes the batch's lane count when nonzero
-     * (a standalone graph's one-lane batch). Same source, same
-     * operation sequence for every instantiation.
+     * (a standalone graph's one-lane batch). Plain, for lanes that are
+     * all plain, drops the pinned and stagnant cases of each select
+     * and the inlet snap. Same source, same operation sequence for
+     * every instantiation.
      */
-    template <size_t Width, size_t Lanes>
+    template <size_t Width, size_t Lanes, bool Plain>
     void substep(size_t begin, size_t count, double dt);
 
     std::shared_ptr<const Topology> topology_;

@@ -134,11 +134,14 @@ Solver::planRuns(double dt, Wanted wanted)
                 continue;
             }
             int substeps = batch.substepsFor(lane, dt);
+            uint8_t plain = batch.planPlain[lane];
             size_t end = lane + 1;
             while (end < lanes && end - lane < kLaneChunk &&
-                   wanted(b, end) && batch.substepsFor(end, dt) == substeps)
+                   wanted(b, end) &&
+                   batch.substepsFor(end, dt) == substeps &&
+                   batch.planPlain[end] == plain)
                 ++end;
-            runs_.push_back({&batch, lane, end, substeps});
+            runs_.push_back({&batch, lane, end, substeps, plain != 0});
             lane = end;
         }
     }
@@ -154,11 +157,13 @@ Solver::stepRuns(double dt, size_t lanes)
     if (fanout) {
         fanout->parallelFor(runs_.size(), [&](size_t k) {
             const LaneRun &run = runs_[k];
-            run.batch->step(run.begin, run.end, dt, run.substeps);
+            run.batch->step(run.begin, run.end, dt, run.substeps,
+                            run.plain);
         });
     } else {
         for (const LaneRun &run : runs_)
-            run.batch->step(run.begin, run.end, dt, run.substeps);
+            run.batch->step(run.begin, run.end, dt, run.substeps,
+                            run.plain);
     }
 }
 

@@ -284,6 +284,7 @@ ThermalGraph::planSubsteps(double dt_seconds) const
     b.planDirty[lane_] = 0;
     b.planDt[lane_] = dt_seconds;
     b.planSubsteps[lane_] = substeps;
+    b.planPlain[lane_] = b.plainLane(lane_);
     return substeps;
 }
 
@@ -292,7 +293,8 @@ ThermalGraph::step(double dt_seconds)
 {
     if (dt_seconds <= 0.0)
         MERCURY_PANIC("ThermalGraph::step: non-positive dt ", dt_seconds);
-    batch_->step(lane_, lane_ + 1, dt_seconds, substepsFor(dt_seconds));
+    batch_->step(lane_, lane_ + 1, dt_seconds, substepsFor(dt_seconds),
+                 /*plain=*/false);
     return batch_->lastDelta[lane_];
 }
 
@@ -616,6 +618,7 @@ ThermalGraph::pinTemperature(NodeId id, double celsius)
     at(b.pinned, checkedId(id)) = 1.0;
     at(b.pinValue, id) = celsius;
     at(b.temperature, id) = celsius;
+    b.planDirty[lane_] = 1; // the lane is no longer plain
     noteInputChanged();
 }
 

@@ -280,6 +280,7 @@ class ThermalGraph
     void unpinTemperature(NodeId id)
     {
         at(batch_->pinned, checkedId(id)) = 0.0;
+        batch_->planDirty[lane_] = 1; // the lane may be plain again
         noteInputChanged();
     }
 

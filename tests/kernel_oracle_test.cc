@@ -13,9 +13,13 @@
  * machines, pinned nodes, per-machine constants that split a batch
  * into runs of different substep counts, air-fraction changes, power
  * models installed on unpowered nodes (which moves a machine to
- * another batch) and machines added after the first iteration. Also
- * an asan/tsan target: the fleet is wide enough for the pool to fan
- * out.
+ * another batch) and machines added after the first iteration. A
+ * second schedule pins and unpins nodes (the inlet included) and
+ * stops and restarts fans on lanes in the middle of runs that are
+ * otherwise plain (no pin, every air vertex flowing), so the runs the
+ * solver steps with the plain substep split and merge between
+ * iterations. Also an asan/tsan target: the fleet is wide enough for
+ * the pool to fan out.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +32,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/machine_batch.hh"
@@ -590,6 +595,94 @@ runScenario(unsigned threads, double period)
 }
 
 /**
+ * A fleet that steps as plain runs, then has single lanes and pairs of
+ * neighbouring lanes in the middle of those runs pinned, unpinned,
+ * stopped and restarted between iterations: every change must split
+ * or merge the runs without moving a bit.
+ */
+void
+runSplitScenario(unsigned threads, double period)
+{
+    Fleet fleet(threads, period);
+    std::mt19937 rng(4242);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    size_t servers = 2 * Solver::kLaneChunk + 40;
+    for (size_t i = 0; i < servers; ++i)
+        fleet.add(table1Server("srv" + std::to_string(i)));
+    for (size_t i = 0; i < 24; ++i)
+        fleet.add(twoDiskServer("two" + std::to_string(i)));
+    size_t total = fleet.names.size();
+    auto pick = [&](size_t n) {
+        return static_cast<size_t>(unit(rng) * static_cast<double>(n));
+    };
+    auto churn = [&]() {
+        for (int k = 0; k < 30; ++k) {
+            size_t i = pick(total);
+            double value = unit(rng);
+            fleet.graph(i).setUtilization("cpu", value);
+            fleet.refs[i].setUtilization("cpu", value);
+        }
+    };
+
+    for (int it = 0; it < 3; ++it) {
+        churn();
+        fleet.iterate();
+    }
+    fleet.expectBitwiseEqual("plain runs");
+
+    const char *pinnable[] = {"cpu", "cpu_air", "inlet", "disk_platters",
+                              "void_air"};
+    std::vector<std::pair<size_t, const char *>> pins;
+    std::vector<size_t> stopped;
+    for (int round = 0; round < 16; ++round) {
+        // One lane, or two neighbours, in the middle of a run.
+        size_t first = 5 + pick(total - 10);
+        size_t width = 1 + pick(2);
+        for (size_t i = first; i < first + width; ++i) {
+            double r = unit(rng);
+            if (r < 0.4) {
+                const char *node = pinnable[pick(5)];
+                double celsius = 20.0 + 30.0 * unit(rng);
+                fleet.graph(i).pinTemperature(node, celsius);
+                fleet.refs[i].pin(node, celsius);
+                pins.emplace_back(i, node);
+            } else if (r < 0.6) {
+                fleet.graph(i).setFanCfm(0.0);
+                fleet.refs[i].setFanCfm(0.0);
+                stopped.push_back(i);
+            } else if (r < 0.8 && !pins.empty()) {
+                auto [lane, node] = pins[pick(pins.size())];
+                fleet.graph(lane).unpinTemperature(node);
+                fleet.refs[lane].unpin(node);
+            } else if (!stopped.empty()) {
+                size_t lane = stopped[pick(stopped.size())];
+                fleet.graph(lane).setFanCfm(38.6);
+                fleet.refs[lane].setFanCfm(38.6);
+            }
+        }
+        for (int it = 0; it < 2; ++it) {
+            churn();
+            fleet.iterate();
+        }
+        fleet.expectBitwiseEqual("after a round of pins and fans");
+    }
+    // Release everything: the runs merge back into plain ones.
+    for (auto [lane, node] : pins) {
+        fleet.graph(lane).unpinTemperature(node);
+        fleet.refs[lane].unpin(node);
+    }
+    for (size_t lane : stopped) {
+        fleet.graph(lane).setFanCfm(38.6);
+        fleet.refs[lane].setFanCfm(38.6);
+    }
+    for (int it = 0; it < 3; ++it) {
+        churn();
+        fleet.iterate();
+    }
+    fleet.expectBitwiseEqual("after every release");
+}
+
+/**
  * Runs each case under one kernel, forced through
  * MachineBatch::setKernelForTest, and restores the process's own
  * choice afterwards. A kernel this build or CPU lacks is skipped.
@@ -634,6 +727,13 @@ TEST_P(KernelOracle, PooledSolverMatchesScalarReferenceBitwise)
 {
     runScenario(4, 1.0);
     runScenario(4, 0.7);
+}
+
+TEST_P(KernelOracle, PlainRunsSplitAndMergeBitwise)
+{
+    runSplitScenario(1, 1.0);
+    runSplitScenario(1, 0.7);
+    runSplitScenario(4, 1.0);
 }
 
 TEST(KernelOracle, LoneGraphMatchesScalarReferenceBitwise)

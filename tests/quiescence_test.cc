@@ -6,15 +6,21 @@
  * to the classic path, a positive epsilon keeps the trajectory within
  * 2 x epsilon of the exact solver under random mutation/wake
  * schedules, every wake source actually wakes, and the energy
- * accumulator keeps advancing while frozen. Also an asan/tsan target.
+ * accumulator keeps advancing while frozen. Pins and stopped fans on
+ * lanes in the middle of plain runs must leave the classic path, the
+ * epsilon = 0 path and the active-set path bitwise equal to the same
+ * machines stepped alone. Also an asan/tsan target.
  */
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/solver.hh"
@@ -311,6 +317,101 @@ TEST(Quiescence, WakeAllMachinesResetsTheActiveSet)
     // And the fleet re-freezes afterwards: waking is not sticky.
     solver.run(2500.0);
     EXPECT_GT(solver.frozenMachineCount(), 0u);
+}
+
+TEST(Quiescence, PinsAndStoppedFansMidBatchMatchLoneMachinesBitwise)
+{
+    // No room: every machine is independent, so each must follow its
+    // twin, a lone graph that steps through the one-lane (general)
+    // kernel. The fleet is one batch; pins (the inlet included) and
+    // stopped fans in its middle split its plain runs.
+    const int kMachines = 40;
+    std::vector<std::string> names = makeNames(kMachines);
+    SolverConfig classic;
+    classic.threads = 1;
+    SolverConfig gated = classic;
+    gated.quiescenceHoldIterations = 1;
+    gated.quiescenceRefreshIterations = 2;
+    // A positive epsilon that can never freeze: the active-set path
+    // steps every lane, through its own run planning.
+    SolverConfig active = classic;
+    active.quiescenceEpsilon = 0.05;
+    active.quiescenceHoldIterations = UINT_MAX;
+
+    std::vector<std::unique_ptr<Solver>> solvers;
+    for (const SolverConfig &config : {classic, gated, active}) {
+        solvers.push_back(std::make_unique<Solver>(config));
+        for (const std::string &name : names)
+            solvers.back()->addMachine(table1Server(name));
+    }
+    std::vector<std::unique_ptr<ThermalGraph>> twins;
+    for (const std::string &name : names)
+        twins.push_back(std::make_unique<ThermalGraph>(table1Server(name)));
+
+    // Apply one mutation to every solver's machine and to its twin.
+    auto each = [&](int i, auto &&mutate) {
+        for (auto &solver : solvers)
+            mutate(solver->machine(names[i]));
+        mutate(*twins[i]);
+    };
+    auto step = [&](int iterations) {
+        for (int it = 0; it < iterations; ++it) {
+            for (auto &solver : solvers)
+                solver->iterate();
+            for (auto &twin : twins)
+                twin->step(1.0);
+        }
+    };
+    auto expect_twins = [&](const std::string &when) {
+        for (size_t s = 0; s < solvers.size(); ++s) {
+            for (int i = 0; i < kMachines; ++i) {
+                const ThermalGraph &got = solvers[s]->machine(names[i]);
+                std::vector<double> a = got.temperatures();
+                a.push_back(got.energyConsumed());
+                std::vector<double> b = twins[i]->temperatures();
+                b.push_back(twins[i]->energyConsumed());
+                ASSERT_EQ(std::memcmp(a.data(), b.data(),
+                                      a.size() * sizeof(double)),
+                          0)
+                    << when << ": solver " << s << ", " << names[i];
+            }
+        }
+        EXPECT_FALSE(solvers[2]->frozenMachineCount());
+    };
+
+    std::mt19937 rng(31337);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    auto pick = [&](int n) { return static_cast<int>(unit(rng) * n); };
+    const char *pinnable[] = {"cpu", "inlet", "cpu_air", "void_air"};
+    std::vector<std::pair<int, const char *>> pins;
+    std::vector<int> stopped;
+    step(3);
+    expect_twins("plain runs");
+    for (int round = 0; round < 20; ++round) {
+        double load = unit(rng);
+        each(pick(kMachines),
+             [&](ThermalGraph &g) { g.setUtilization("cpu", load); });
+        int lane = 2 + pick(kMachines - 4);
+        double r = unit(rng);
+        double celsius = 20.0 + 30.0 * unit(rng);
+        if (r < 0.35) {
+            const char *node = pinnable[pick(4)];
+            each(lane,
+                 [&](ThermalGraph &g) { g.pinTemperature(node, celsius); });
+            pins.emplace_back(lane, node);
+        } else if (r < 0.6) {
+            each(lane, [](ThermalGraph &g) { g.setFanCfm(0.0); });
+            stopped.push_back(lane);
+        } else if (r < 0.8 && !pins.empty()) {
+            auto [at, node] = pins[pick(static_cast<int>(pins.size()))];
+            each(at, [&](ThermalGraph &g) { g.unpinTemperature(node); });
+        } else if (!stopped.empty()) {
+            int at = stopped[pick(static_cast<int>(stopped.size()))];
+            each(at, [](ThermalGraph &g) { g.setFanCfm(38.6); });
+        }
+        step(1 + pick(3));
+        expect_twins("round " + std::to_string(round));
+    }
 }
 
 TEST(Quiescence, ParallelActiveSetMatchesSerialActiveSet)
