@@ -6,6 +6,7 @@
 #include "core/solver.hh"
 #include "fiddle/command.hh"
 #include "guard/sensor_guard.hh"
+#include "telemetry/layout.hh"
 #include "telemetry/reader.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
@@ -435,9 +436,14 @@ SolverService::readFrom(telemetry::Reader &snapshot,
     switch (resolution.status) {
       case telemetry::Reader::ResolveStatus::Unavailable:
         return std::nullopt;
+      // The solver may know a name the snapshot could not publish.
       case telemetry::Reader::ResolveStatus::UnknownMachine:
+        if (heldInPart(machine))
+            return std::nullopt;
         return Reading{Status::UnknownMachine};
       case telemetry::Reader::ResolveStatus::UnknownComponent:
+        if (heldInPart(machine))
+            return std::nullopt;
         return Reading{Status::UnknownComponent};
       case telemetry::Reader::ResolveStatus::Ok:
         break;
@@ -457,6 +463,29 @@ SolverService::readFrom(core::Solver &solver, const std::string &machine,
         return Reading{Status::Ok, solver.temperature(*ref)};
     return Reading{solver.hasMachine(machine) ? Status::UnknownComponent
                                               : Status::UnknownMachine};
+}
+
+bool
+SolverService::heldInPart(const std::string &machine)
+{
+    std::call_once(partialOnce_, [this] {
+        auto wide = [](const std::string &name) {
+            return name.size() >= telemetry::kNameWidth;
+        };
+        for (size_t i = 0; i < solver_.machineCount(); ++i) {
+            const core::ThermalGraph &graph = solver_.machine(i);
+            bool partial = wide(graph.name());
+            for (core::NodeId id = 0; id < graph.nodeCount(); ++id)
+                partial = partial || wide(graph.nodeName(id));
+            for (const auto &[alias, node_name] : solver_.aliases()) {
+                partial = partial || ((wide(alias) || wide(node_name)) &&
+                                      graph.tryNodeId(node_name));
+            }
+            if (partial)
+                partialMachines_.insert(graph.name());
+        }
+    });
+    return partialMachines_.count(machine) != 0;
 }
 
 template <typename Source>

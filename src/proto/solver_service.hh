@@ -24,7 +24,8 @@
  *    atomics and the per-sender sequence windows live behind striped
  *    locks, so loss accounting stays exact however many workers
  *    receive. receive() reads no solver state; it consults only the
- *    solver's machine directory, which is fixed before serving starts.
+ *    solver's machine directory (machine, node and alias names), which
+ *    is fixed before serving starts.
  *  - apply(), handlePacket(), handleReplicated(), the setters and the
  *    sender-table checkpoint hooks run on the one thread that owns the
  *    solver.
@@ -42,6 +43,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -263,11 +265,13 @@ class SolverService
     /** @name Read sources
      * The snapshot source resolves through the segment's directory;
      * nullopt means the snapshot cannot answer and the request goes to
-     * the solver. The solver source always answers (solver thread). */
+     * the solver. It never answers unknown for a machine the snapshot
+     * holds only in part (heldInPart). The solver source always
+     * answers (solver thread). */
     /// @{
-    static std::optional<Reading> readFrom(telemetry::Reader &snapshot,
-                                           const std::string &machine,
-                                           const std::string &component);
+    std::optional<Reading> readFrom(telemetry::Reader &snapshot,
+                                    const std::string &machine,
+                                    const std::string &component);
     std::optional<Reading> readFrom(core::Solver &solver,
                                     const std::string &machine,
                                     const std::string &component);
@@ -354,7 +358,21 @@ class SolverService
     std::optional<core::Solver::NodeRef>
     resolveCached(const std::string &machine, const std::string &component);
 
+    /**
+     * True when the telemetry snapshot holds @p machine only in part.
+     * telemetry::Writer skips names of telemetry::kNameWidth bytes or
+     * more, so for a machine with such a name, node name or alias (or
+     * an alias that leads to such a node) the snapshot can read
+     * "unknown" where the solver answers. Worked out once, from the
+     * machine directory and the aliases, which are fixed before
+     * serving starts, on the first snapshot miss. Thread-safe.
+     */
+    bool heldInPart(const std::string &machine);
+
     core::Solver &solver_;
+
+    std::once_flag partialOnce_;
+    std::unordered_set<std::string> partialMachines_; //!< see heldInPart
 
     /** Positive resolution cache: per machine, the components already
      *  resolved. A lookup hashes the machine name and scans its few

@@ -483,6 +483,35 @@ fullWidthName(proto::Packet packet, size_t offset)
     return packet;
 }
 
+/** @p packet with the 32-byte name field at @p offset holding
+ *  @p name, exactly 32 characters and so unterminated (the encoder
+ *  refuses such names; a peer may still send them). */
+proto::Packet
+withName(proto::Packet packet, size_t offset, const std::string &name)
+{
+    EXPECT_EQ(name.size(), 32u);
+    std::memcpy(packet.data() + offset, name.data(), 32);
+    return packet;
+}
+
+/** Names exactly 32 characters long, which the telemetry writer
+ *  cannot publish: a table1 server's, and an extra node's of the
+ *  "wide_nodes" server, reached directly or through the alias "wd". */
+const std::string kWideMachine = "rack-07.chassis-3.blade-12.node4";
+const std::string kWideNode = "inlet_plenum_upper_left_sensor_2";
+
+core::MachineSpec
+wideNodeServer()
+{
+    core::MachineSpec spec = core::table1Server("wide_nodes");
+    core::NodeSpec sensor = *spec.findNode("disk_shell");
+    sensor.name = kWideNode;
+    sensor.hasPower = false;
+    spec.nodes.push_back(sensor);
+    spec.heatEdges.push_back({kWideNode, "disk_shell", 0.5});
+    return spec;
+}
+
 /**
  * A real request plane with the telemetry segment on, beside a
  * shm-less reference service over the same solver. The plane's worker
@@ -498,6 +527,9 @@ class ShmPlane : public ::testing::Test
     {
         solver.addMachine(core::table1Server("m1"));
         solver.addMachine(core::table1Server("m2"));
+        solver.addMachine(core::table1Server(kWideMachine));
+        solver.addMachine(wideNodeServer());
+        solver.addAlias("wd", kWideNode);
         solver.setUtilization("m1", "cpu", 0.8);
         solver.run(20.0);
         writer = std::make_unique<telemetry::Writer>(shmName, solver, 1.0);
@@ -564,6 +596,33 @@ class ShmPlane : public ::testing::Test
         expectSameAnswer(sensorRequest(900, "m1", "cpu"),
                          what + ", then a read");
         EXPECT_EQ(service.undecodable(), before + 1) << what;
+    }
+
+    /** The plane queues @p request, and the drain answers it with
+     *  exactly the bytes the reference's handlePacket gives. A read
+     *  the snapshot answers is sent behind it: once that reply is
+     *  back, the worker has dealt with the request. */
+    void
+    expectSolverAnswer(const proto::Packet &request, const std::string &what)
+    {
+        send(request);
+        auto expected =
+            reference.handlePacket(request.data(), request.size());
+        proto::Packet behind = sensorRequest(901, "m1", "cpu");
+        send(behind);
+        auto inline_reply = nextReply();
+        auto inline_expected =
+            reference.handlePacket(behind.data(), behind.size());
+        ASSERT_TRUE(inline_reply.has_value()) << what;
+        ASSERT_TRUE(inline_expected.has_value()) << what;
+        EXPECT_EQ(*inline_reply, *inline_expected) << what;
+        EXPECT_EQ(plane->queueDepth(), 1u) << what;
+        EXPECT_EQ(plane->drainPending(), 1u) << what;
+        auto reply = nextReply();
+        ASSERT_TRUE(reply.has_value()) << what;
+        ASSERT_TRUE(expected.has_value()) << what;
+        EXPECT_EQ(*reply, *expected) << what;
+        expectSameCounters(what);
     }
 
     void
@@ -658,6 +717,42 @@ TEST_F(ShmPlane, ReadsMatchTheSolverPathByteForByte)
     EXPECT_EQ(plane->queueDepth(), 0u);
     EXPECT_GT(service.sensorReads(), 0u);
     EXPECT_EQ(service.multiReads(), 4u);
+}
+
+TEST_F(ShmPlane, NamesTheSnapshotCannotHoldGoToTheSolver)
+{
+    uint32_t id = 40;
+    expectSolverAnswer(
+        withName(sensorRequest(id++, "x", "cpu"), kFirstName, kWideMachine),
+        "32-character machine");
+    expectSolverAnswer(
+        withName(sensorRequest(id++, "x", "nope"), kFirstName, kWideMachine),
+        "unknown component of a 32-character machine");
+    expectSolverAnswer(withName(multiReadRequest(id++, "x",
+                                                 {"cpu", "disk", "nope"}),
+                                kFirstName, kWideMachine),
+                       "MultiRead on a 32-character machine");
+    expectSolverAnswer(
+        withName(sensorRequest(id++, "wide_nodes", "x"), kSecondName,
+                 kWideNode),
+        "32-character component");
+    expectSolverAnswer(sensorRequest(id++, "wide_nodes", "wd"),
+                       "short alias to a 32-character node");
+    // A MultiRead packs each component into at most 31 bytes, so its
+    // way to a 32-character node is the alias.
+    expectSolverAnswer(
+        multiReadRequest(id++, "wide_nodes", {"cpu", "wd", "nope"}),
+        "MultiRead through a short alias to a 32-character node");
+
+    // What the snapshot holds in full it still answers inline: the
+    // published nodes of a machine held in part, and the alias on a
+    // machine without its target.
+    expectSameAnswer(sensorRequest(id++, "wide_nodes", "cpu"),
+                     "published node of a machine held in part");
+    expectSameAnswer(multiReadRequest(id++, "m2", {"wd", "cpu"}),
+                     "alias whose target this machine lacks");
+    EXPECT_EQ(plane->queueDepth(), 0u);
+    EXPECT_EQ(service.multiReads(), 3u);
 }
 
 TEST_F(ShmPlane, HostileDatagramsGetNoReply)
