@@ -29,14 +29,17 @@ using namespace test;
 
 TEST(DaemonE2E, MonitordSensorAndFiddleOverUdp)
 {
+    // While a daemon serves the solver, its thread owns it: this
+    // thread reads through the daemon (sensor reads, service counters)
+    // and touches the solver directly only after stop().
     core::Solver solver;
     solver.addMachine(core::table1Server("m1"));
 
     proto::SolverDaemon::Config config;
     config.port = 0;
     config.iterationSeconds = 0.0; // stepped manually below
-    proto::SolverDaemon daemon(solver, config);
-    std::thread server([&] { daemon.run(); });
+    auto daemon = std::make_unique<proto::SolverDaemon>(solver, config);
+    std::thread server([&] { daemon->run(); });
 
     // monitord with a synthetic source, shipping over real UDP.
     auto source = std::make_unique<monitor::SyntheticSource>();
@@ -44,40 +47,52 @@ TEST(DaemonE2E, MonitordSensorAndFiddleOverUdp)
     source->addComponent("disk", [](double) { return 0.3; });
     monitor::UpdateBatcher batcher(
         std::make_shared<net::UdpSocket>(),
-        {*net::resolveHost("127.0.0.1"), daemon.port()});
+        {*net::resolveHost("127.0.0.1"), daemon->port()});
     monitor::Monitord monitord("m1", std::move(source), batcher.sink());
     monitord.tick(1.0);
     batcher.flush();
 
     // UDP is asynchronous: wait for the updates to land.
     for (int i = 0; i < 200; ++i) {
-        if (daemon.service().updatesApplied() >= 2)
+        if (daemon->service().updatesApplied() >= 2)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    EXPECT_EQ(daemon.service().updatesApplied(), 2u);
+    EXPECT_EQ(daemon->service().updatesApplied(), 2u);
+
+    // Sensor read over the same socket family.
+    auto client = std::make_unique<sensor::SensorClient>(
+        std::make_unique<sensor::UdpTransport>("127.0.0.1",
+                                               daemon->port()),
+        "m1");
+    auto before = client->read("cpu");
+    ASSERT_TRUE(before.has_value());
+
+    // Fiddle an emergency.
+    auto [ok, message] = client->fiddle("m1 temperature inlet 35");
+    ASSERT_TRUE(ok) << message;
+    daemon->stop();
+    server.join();
+
+    // The daemon is gone: the solver is this thread's. Check the
+    // updates it applied, then step it and watch the CPU heat up
+    // through a second daemon over the same solver.
     EXPECT_DOUBLE_EQ(solver.machine("m1").utilization("cpu"), 0.8);
     EXPECT_DOUBLE_EQ(
         solver.machine("m1").utilization("disk_platters"), 0.3);
-
-    // Sensor read over the same socket family.
-    sensor::SensorClient client(
-        std::make_unique<sensor::UdpTransport>("127.0.0.1",
-                                               daemon.port()),
-        "m1");
-    auto before = client.read("cpu");
-    ASSERT_TRUE(before.has_value());
-
-    // Fiddle an emergency, step the solver, watch the CPU heat up.
-    auto [ok, message] = client.fiddle("m1 temperature inlet 35");
-    ASSERT_TRUE(ok) << message;
     for (int i = 0; i < 2000; ++i)
         solver.iterate();
-    auto after = client.read("cpu");
+    daemon = std::make_unique<proto::SolverDaemon>(solver, config);
+    server = std::thread([&] { daemon->run(); });
+    client = std::make_unique<sensor::SensorClient>(
+        std::make_unique<sensor::UdpTransport>("127.0.0.1",
+                                               daemon->port()),
+        "m1");
+    auto after = client->read("cpu");
     ASSERT_TRUE(after.has_value());
     EXPECT_GT(*after, *before + 5.0);
 
-    daemon.stop();
+    daemon->stop();
     server.join();
 }
 
