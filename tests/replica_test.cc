@@ -25,6 +25,8 @@
 #include "replica/wal.hh"
 #include "replica/wire.hh"
 #include "state/checkpoint.hh"
+#include "util/bytes.hh"
+#include "util/crc32c.hh"
 
 namespace mercury {
 namespace {
@@ -286,6 +288,139 @@ TEST(Wal, SequenceBreakEndsThePrefix)
     ASSERT_TRUE(replica::readWalFile(path, &wal, &error)) << error;
     EXPECT_FALSE(wal.tailOk);
     EXPECT_EQ(wal.records.size(), 2u);
+    std::remove(path.c_str());
+}
+
+/**
+ * One WAL record built field by field, with @p payload_bytes payload
+ * bytes present whatever @p length claims, and its CRC re-sealed over
+ * what was written: each hostile field then reaches its own check
+ * rather than the CRC's.
+ */
+std::vector<uint8_t>
+sealedRecord(uint8_t kind, uint16_t length, uint64_t sequence,
+             size_t payload_bytes)
+{
+    std::vector<uint8_t> out;
+    ByteWriter w(out);
+    w.u32(0); // CRC, patched below
+    w.u8(kind);
+    w.u8(0); // reserved
+    w.u16(length);
+    w.u64(sequence);
+    w.u64(sequence); // iteration
+    std::vector<uint8_t> payload(payload_bytes, 0x5a);
+    w.bytes(payload.data(), payload.size());
+    w.patchU32(0, crc32c(out.data() + 4, out.size() - 4));
+    return out;
+}
+
+TEST(Wal, HostileRecordsEndInTheirNamedErrorAfterTheValidPrefix)
+{
+    const std::string path = tempPath("hostile");
+    std::remove(path.c_str());
+    const uint16_t absurd = uint16_t(replica::kWalMaxPayload + 1);
+    std::vector<uint8_t> header_cut = sealedRecord(1, 8, 3, 8);
+    header_cut.resize(replica::kWalRecordOverhead - 5);
+    struct Case
+    {
+        const char *what;
+        std::vector<uint8_t> record;
+        std::string error;
+    };
+    const std::vector<Case> cases = {
+        {"payload length above the cap", sealedRecord(1, absurd, 3, absurd),
+         "absurd payload length 4097"},
+        {"kind 0", sealedRecord(0, 8, 3, 8), "unknown record kind 0"},
+        {"kind 4", sealedRecord(4, 8, 3, 8), "unknown record kind 4"},
+        {"header cut short", header_cut, "truncated record header"},
+        {"payload cut short", sealedRecord(1, 16, 3, 8),
+         "truncated record payload"},
+    };
+    for (const Case &c : cases) {
+        // Two valid records, then the hostile one.
+        std::vector<uint8_t> bytes =
+            replica::encodeWalHeader(replica::WalHeader{});
+        for (uint64_t seq : {1, 2}) {
+            replica::WalRecord record;
+            record.sequence = seq;
+            record.iteration = seq;
+            record.payload = {uint8_t(seq), 7};
+            replica::appendRecordBytes(bytes, record);
+        }
+        size_t offset = bytes.size();
+        bytes.insert(bytes.end(), c.record.begin(), c.record.end());
+        writeBytes(path, bytes);
+
+        replica::WalReadResult wal;
+        std::string error;
+        ASSERT_TRUE(replica::readWalFile(path, &wal, &error))
+            << c.what << ": " << error;
+        EXPECT_FALSE(wal.tailOk) << c.what;
+        EXPECT_EQ(wal.tailError,
+                  c.error + " at offset " + std::to_string(offset))
+            << c.what;
+        ASSERT_EQ(wal.records.size(), 2u) << c.what;
+        EXPECT_EQ(wal.records[1].sequence, 2u) << c.what;
+        EXPECT_EQ(wal.records[1].payload, (std::vector<uint8_t>{2, 7}))
+            << c.what;
+
+        // parseRecord names the same error on the record alone.
+        replica::WalRecord record;
+        std::string why;
+        EXPECT_EQ(replica::parseRecord(c.record.data(), c.record.size(),
+                                       &record, &why),
+                  0u)
+            << c.what;
+        EXPECT_EQ(why, c.error) << c.what;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(Wal, HostileHeadersAreRefused)
+{
+    const std::string path = tempPath("hostile_header");
+    std::remove(path.c_str());
+    auto header = [](uint32_t magic, uint32_t version) {
+        std::vector<uint8_t> out;
+        ByteWriter w(out);
+        w.u32(magic);
+        w.u32(version);
+        w.u64(1); // topology hash
+        w.u64(0); // start iteration
+        w.u64(1); // start sequence
+        replica::WalRecord record;
+        record.sequence = 1;
+        record.payload = {1};
+        replica::appendRecordBytes(out, record);
+        return out;
+    };
+    struct Case
+    {
+        const char *what;
+        std::vector<uint8_t> bytes;
+        std::string error;
+    };
+    const std::vector<Case> cases = {
+        {"bad magic", header(replica::kWalMagic ^ 1, replica::kWalVersion),
+         "bad magic"},
+        {"version + 1", header(replica::kWalMagic, replica::kWalVersion + 1),
+         "unsupported version " + std::to_string(replica::kWalVersion + 1)},
+    };
+    for (const Case &c : cases) {
+        writeBytes(path, c.bytes);
+        replica::WalReadResult wal;
+        std::string error;
+        EXPECT_FALSE(replica::readWalFile(path, &wal, &error)) << c.what;
+        EXPECT_EQ(error, c.error) << c.what;
+    }
+    // The same bytes with the real magic and version read back.
+    writeBytes(path, header(replica::kWalMagic, replica::kWalVersion));
+    replica::WalReadResult wal;
+    std::string error;
+    ASSERT_TRUE(replica::readWalFile(path, &wal, &error)) << error;
+    EXPECT_TRUE(wal.tailOk) << wal.tailError;
+    EXPECT_EQ(wal.records.size(), 1u);
     std::remove(path.c_str());
 }
 
